@@ -57,7 +57,10 @@ pub fn header(title: &str, paper_ref: &str) {
         bench_tpv(),
         bench_seed()
     );
-    println!("note: magnitudes are shape-comparable, not absolute — see EXPERIMENTS.md\n");
+    println!(
+        "note: magnitudes are shape-comparable, not absolute — see the fidelity ledger in \
+         perfbench/README.md and the paper-fidelity item in ROADMAP.md\n"
+    );
 }
 
 #[cfg(test)]

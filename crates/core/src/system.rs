@@ -13,7 +13,8 @@ use std::collections::{HashMap, VecDeque};
 use mondrian_cache::{Cache, Lookup, NextLinePrefetcher};
 use mondrian_cores::{Core, CoreStatus, Kernel, MemKind, MemRequest, StoreKind};
 use mondrian_mem::{
-    AccessKind, AddressMap, DramCompletion, DramRequest, PermutableRegion, VaultController,
+    AccessKind, AddressMap, DramCompletion, DramRequest, PermutableOverflow, PermutableRegion,
+    VaultController,
 };
 use mondrian_noc::{Mesh, MeshStats, SerDesLink, SerDesStats};
 use mondrian_sim::{EventQueue, Stats, Time, PS_PER_NS};
@@ -74,7 +75,7 @@ struct Pending {
 }
 
 /// Continuation attached to each DRAM request.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VaultOp {
     /// Stream-buffer fill: respond to the local core.
     StreamFill { pending: usize },
@@ -84,6 +85,50 @@ enum VaultOp {
     LlcFill { line: u64 },
     /// Fire-and-forget (writebacks, permutable writes).
     Fire,
+}
+
+/// Continuations of a phase's in-flight DRAM requests, indexed by DRAM id.
+/// Ids count up from 0 in every phase, so a dense table does the job of a
+/// hash map. A permutable write that overflows consumes an id but
+/// registers nothing: its slot stays `None`.
+#[derive(Debug, Default)]
+struct Continuations {
+    slots: Vec<Option<VaultOp>>,
+    /// Registered continuations other than [`VaultOp::Fire`]; zero exactly
+    /// when every in-flight op is fire-and-forget.
+    live_non_fire: usize,
+}
+
+impl Continuations {
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.live_non_fire = 0;
+    }
+
+    fn insert(&mut self, id: u64, op: VaultOp) {
+        let i = usize::try_from(id).expect("DRAM ids fit in memory");
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        debug_assert!(self.slots[i].is_none(), "DRAM id {id} registered twice");
+        if !matches!(op, VaultOp::Fire) {
+            self.live_non_fire += 1;
+        }
+        self.slots[i] = Some(op);
+    }
+
+    fn remove(&mut self, id: u64) -> Option<VaultOp> {
+        let op = self.slots.get_mut(usize::try_from(id).ok()?)?.take()?;
+        if !matches!(op, VaultOp::Fire) {
+            self.live_non_fire -= 1;
+        }
+        Some(op)
+    }
+
+    /// Whether every registered continuation is fire-and-forget.
+    fn all_fire(&self) -> bool {
+        self.live_non_fire == 0
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +147,7 @@ enum Ev {
 #[derive(Debug, Default)]
 struct PhaseScratch {
     pending: Vec<Pending>,
-    vault_ops: HashMap<u64, VaultOp>,
+    vault_ops: Continuations,
     vault_tick: Vec<Option<Time>>,
     l1_waiters: Vec<HashMap<u64, Vec<usize>>>,
     llc_waiters: HashMap<u64, Vec<(usize, u64)>>,
@@ -145,19 +190,24 @@ pub struct Machine {
     meshes: Vec<Mesh>,
     /// Per HMC: (CPU→HMC, HMC→CPU).
     cpu_links: Vec<(SerDesLink, SerDesLink)>,
-    /// Directional inter-HMC links (NMP fully-connected network).
-    hmc_links: HashMap<(u32, u32), SerDesLink>,
+    /// Directional inter-HMC links (NMP fully-connected network), indexed
+    /// by `from * hmcs + to`; `None` on the diagonal and on non-NMP systems.
+    hmc_links: Vec<Option<SerDesLink>>,
     l1s: Vec<Cache>,
     llc: Option<Cache>,
     prefetcher: NextLinePrefetcher,
     now: Time,
-    /// Permutable region base per vault while a shuffle is active.
-    perm_bases: HashMap<u32, u64>,
+    /// Permutable region base per vault while a shuffle is active; empty
+    /// otherwise.
+    perm_bases: Vec<u64>,
     /// Arrival metadata from the last shuffle: per vault, `(core, seq)` in
     /// arrival order.
     perm_arrivals: HashMap<u32, Vec<(usize, u64)>>,
     /// Reusable per-phase buffers (allocation diet; see [`PhaseScratch`]).
     scratch: PhaseScratch,
+    /// Vaults enqueued into since the event loop last re-armed them (see
+    /// [`Machine::enqueue_dram`]); may repeat a vault.
+    touched: Vec<u32>,
     /// Lazily spawned worker pool for batched vault ticks; lives for the
     /// machine's lifetime once the first parallel batch appears.
     tick_pool: Option<TickPool>,
@@ -194,13 +244,11 @@ impl Machine {
         let cpu_links = (0..cfg.hmcs)
             .map(|_| (SerDesLink::new(cfg.serdes), SerDesLink::new(cfg.serdes)))
             .collect();
-        let mut hmc_links = HashMap::new();
+        let mut hmc_links = Vec::new();
         if cfg.kind.is_nmp() {
             for a in 0..cfg.hmcs {
                 for b in 0..cfg.hmcs {
-                    if a != b {
-                        hmc_links.insert((a, b), SerDesLink::new(cfg.serdes));
-                    }
+                    hmc_links.push((a != b).then(|| SerDesLink::new(cfg.serdes)));
                 }
             }
         }
@@ -222,9 +270,10 @@ impl Machine {
             llc,
             prefetcher: NextLinePrefetcher::table3(),
             now: 0,
-            perm_bases: HashMap::new(),
+            perm_bases: Vec::new(),
             perm_arrivals: HashMap::new(),
             scratch: PhaseScratch::default(),
+            touched: Vec::new(),
             tick_pool: None,
             events_done: 0,
             stats: Stats::new(),
@@ -276,7 +325,7 @@ impl Machine {
         self.perm_bases.clear();
         self.perm_arrivals.clear();
         for (v, region) in regions.into_iter().enumerate() {
-            self.perm_bases.insert(v as u32, region.base);
+            self.perm_bases.push(region.base);
             self.vaults[v].set_permutable_region(region);
         }
     }
@@ -307,6 +356,27 @@ impl Machine {
         corners[(slot % 4) as usize]
     }
 
+    /// The directional SerDes link from HMC `from` to HMC `to`.
+    fn hmc_link(&mut self, from: u32, to: u32) -> &mut SerDesLink {
+        self.hmc_links[(from * self.cfg.hmcs + to) as usize]
+            .as_mut()
+            .expect("fully-connected NMP network")
+    }
+
+    /// Enqueues `req` at vault `vault`, arriving at `at`, and marks the
+    /// vault for the event loop to re-arm after the current request batch.
+    /// Every core-side enqueue goes through here: an unmarked vault keeps
+    /// its `next_event_time` from its last re-arm.
+    fn enqueue_dram(
+        &mut self,
+        vault: u32,
+        req: DramRequest,
+        at: Time,
+    ) -> Result<(), PermutableOverflow> {
+        self.touched.push(vault);
+        self.vaults[vault as usize].enqueue(req, at)
+    }
+
     /// Routes `bytes` of payload from `from` to vault `to`; returns the
     /// arrival time.
     fn route_to_vault(&mut self, from: Ep, to: u32, bytes: u32, t: Time) -> Time {
@@ -327,11 +397,7 @@ impl Machine {
                     let ni_out = self.ni_tile(dst_hmc);
                     let t1 =
                         self.meshes[src_hmc as usize].send_unreserved(src_tile, ni_out, bytes, t);
-                    let t2 = self
-                        .hmc_links
-                        .get_mut(&(src_hmc, dst_hmc))
-                        .expect("fully-connected NMP network")
-                        .send(bytes, t1);
+                    let t2 = self.hmc_link(src_hmc, dst_hmc).send(bytes, t1);
                     let ni_in = self.ni_tile(src_hmc);
                     self.meshes[dst_hmc as usize].send_unreserved(ni_in, dst_tile, bytes, t2)
                 }
@@ -359,11 +425,7 @@ impl Machine {
                     let ni_out = self.ni_tile(dst_hmc);
                     let t1 =
                         self.meshes[src_hmc as usize].send_unreserved(src_tile, ni_out, bytes, t);
-                    let t2 = self
-                        .hmc_links
-                        .get_mut(&(src_hmc, dst_hmc))
-                        .expect("fully-connected NMP network")
-                        .send(bytes, t1);
+                    let t2 = self.hmc_link(src_hmc, dst_hmc).send(bytes, t1);
                     let ni_in = self.ni_tile(src_hmc);
                     let dt = self.tile_of(dst);
                     self.meshes[dst_hmc as usize].send_unreserved(ni_in, dt, bytes, t2)
@@ -496,10 +558,24 @@ impl Machine {
                         &mut next_dram_id,
                     );
                 }
-                // Vault state may have changed.
-                for v in 0..self.vaults.len() {
+                // Re-arm only the vaults this batch enqueued into, in
+                // ascending index. Every other vault was re-armed right
+                // after its last mutation (an enqueue here, or a poll
+                // below), and `next_event_time` depends on vault state
+                // alone, so re-arming it again would schedule nothing.
+                // Re-arming all vaults in index order would therefore make
+                // the same `schedule` calls in the same order: the event
+                // stream, seq numbers included, is the same either way.
+                let mut touched = std::mem::take(&mut self.touched);
+                touched.sort_unstable();
+                touched.dedup();
+                for &v in &touched {
                     sched_vault!(queue, vault_tick, v);
                 }
+                touched.clear();
+                self.touched = touched;
+                #[cfg(debug_assertions)]
+                self.assert_armed(vault_tick);
             }
             // Parallel tail drain: once every core has finished, no core
             // request is waiting on a response, and every in-flight DRAM
@@ -514,7 +590,7 @@ impl Machine {
                 && handle_reqs.is_empty()
                 && queue.len() == tick_events
                 && cores.iter().all(|c| c.as_ref().is_none_or(Core::finished))
-                && vault_ops.values().all(|op| matches!(op, VaultOp::Fire))
+                && vault_ops.all_fire()
             {
                 end = end.max(self.parallel_tail_drain());
                 break;
@@ -604,7 +680,7 @@ impl Machine {
                     // identical to the serial loop's.
                     for (k, &(w, _)) in tick_batch.iter().enumerate() {
                         for c in &tick_done[k] {
-                            let op = vault_ops.remove(&c.id).expect("continuation registered");
+                            let op = vault_ops.remove(c.id).expect("continuation registered");
                             match op {
                                 VaultOp::Fire => {}
                                 VaultOp::StreamFill { pending: p } => {
@@ -718,6 +794,22 @@ impl Machine {
         Ok(outcome)
     }
 
+    /// Checks the property re-arming only touched vaults relies on: no
+    /// vault would schedule a tick if re-armed now — it is idle, or its
+    /// next event is no earlier than the tick it already has queued.
+    #[cfg(debug_assertions)]
+    fn assert_armed(&self, vault_tick: &[Option<Time>]) {
+        for (v, vault) in self.vaults.iter().enumerate() {
+            if let Some(t) = vault.next_event_time() {
+                assert!(
+                    vault_tick[v].is_some_and(|cur| cur <= t),
+                    "vault {v} needs a tick at {t} but has {:?} queued",
+                    vault_tick[v]
+                );
+            }
+        }
+    }
+
     /// Drains every busy vault to completion on up to `sim_threads`
     /// worker threads and returns the latest completion time across all
     /// of them. Only sound in the phase tail, when no completion needs a
@@ -764,7 +856,7 @@ impl Machine {
         req: MemRequest,
         queue: &mut EventQueue<Ev>,
         pending: &mut Vec<Pending>,
-        vault_ops: &mut HashMap<u64, VaultOp>,
+        vault_ops: &mut Continuations,
         l1_waiters: &mut [HashMap<u64, Vec<usize>>],
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
         stalls: &mut [VecDeque<usize>],
@@ -811,9 +903,7 @@ impl Machine {
                     *next_dram_id += 1;
                     let dreq =
                         DramRequest { id, addr, bytes: chunk as u32, kind: AccessKind::Write };
-                    self.vaults[vault as usize]
-                        .enqueue(dreq, arr)
-                        .expect("plain writes cannot overflow");
+                    self.enqueue_dram(vault, dreq, arr).expect("plain writes cannot overflow");
                     vault_ops.insert(id, VaultOp::Fire);
                     addr += chunk;
                 }
@@ -827,7 +917,7 @@ impl Machine {
                 *next_dram_id += 1;
                 let base = *self
                     .perm_bases
-                    .get(&dst_vault)
+                    .get(dst_vault as usize)
                     .expect("permutable store outside an active shuffle");
                 let dreq = DramRequest {
                     id,
@@ -835,7 +925,7 @@ impl Machine {
                     bytes: req.bytes,
                     kind: AccessKind::PermutableWrite,
                 };
-                match self.vaults[dst_vault as usize].enqueue(dreq, arr) {
+                match self.enqueue_dram(dst_vault, dreq, arr) {
                     Ok(()) => {
                         vault_ops.insert(id, VaultOp::Fire);
                         self.perm_arrivals.entry(dst_vault).or_default().push((core, seq));
@@ -855,7 +945,7 @@ impl Machine {
                 *next_dram_id += 1;
                 let dreq =
                     DramRequest { id, addr: req.addr, bytes: req.bytes, kind: AccessKind::Read };
-                match self.vaults[vault as usize].enqueue(dreq, t + PS_PER_NS) {
+                match self.enqueue_dram(vault, dreq, t + PS_PER_NS) {
                     Ok(()) => {
                         vault_ops.insert(id, VaultOp::StreamFill { pending: p });
                     }
@@ -874,7 +964,7 @@ impl Machine {
         p: usize,
         req: MemRequest,
         queue: &mut EventQueue<Ev>,
-        vault_ops: &mut HashMap<u64, VaultOp>,
+        vault_ops: &mut Continuations,
         l1_waiters: &mut [HashMap<u64, Vec<usize>>],
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
         stalls: &mut [VecDeque<usize>],
@@ -936,7 +1026,7 @@ impl Machine {
         t: Time,
         prefetch: bool,
         queue: &mut EventQueue<Ev>,
-        vault_ops: &mut HashMap<u64, VaultOp>,
+        vault_ops: &mut Continuations,
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
         next_dram_id: &mut u64,
     ) {
@@ -977,7 +1067,7 @@ impl Machine {
                     *next_dram_id += 1;
                     let bytes = self.cfg.llc.line_bytes;
                     let dreq = DramRequest { id, addr: line, bytes, kind: AccessKind::Read };
-                    self.vaults[vault as usize].enqueue(dreq, arr).expect("reads cannot overflow");
+                    self.enqueue_dram(vault, dreq, arr).expect("reads cannot overflow");
                     vault_ops.insert(id, VaultOp::LlcFill { line });
                 }
             }
@@ -992,7 +1082,7 @@ impl Machine {
         core: usize,
         line: u64,
         t: Time,
-        vault_ops: &mut HashMap<u64, VaultOp>,
+        vault_ops: &mut Continuations,
         next_dram_id: &mut u64,
     ) {
         let vault = self.map.vault_of(line);
@@ -1001,7 +1091,7 @@ impl Machine {
         *next_dram_id += 1;
         let bytes = self.l1s[core].config().line_bytes;
         let dreq = DramRequest { id, addr: line, bytes, kind: AccessKind::Read };
-        self.vaults[vault as usize].enqueue(dreq, arr).expect("reads cannot overflow");
+        self.enqueue_dram(vault, dreq, arr).expect("reads cannot overflow");
         vault_ops.insert(id, VaultOp::L1Fill { core, line });
     }
 
@@ -1011,7 +1101,7 @@ impl Machine {
         addr: u64,
         bytes: u32,
         t: Time,
-        vault_ops: &mut HashMap<u64, VaultOp>,
+        vault_ops: &mut Continuations,
         next_dram_id: &mut u64,
     ) {
         if let Some(llc) = self.llc.as_mut() {
@@ -1026,7 +1116,7 @@ impl Machine {
             let id = *next_dram_id;
             *next_dram_id += 1;
             let dreq = DramRequest { id, addr, bytes, kind: AccessKind::Write };
-            self.vaults[vault as usize].enqueue(dreq, arr).expect("writes fit");
+            self.enqueue_dram(vault, dreq, arr).expect("writes fit");
             vault_ops.insert(id, VaultOp::Fire);
         }
     }
@@ -1036,7 +1126,7 @@ impl Machine {
         addr: u64,
         bytes: u32,
         t: Time,
-        vault_ops: &mut HashMap<u64, VaultOp>,
+        vault_ops: &mut Continuations,
         next_dram_id: &mut u64,
     ) {
         let vault = self.map.vault_of(addr);
@@ -1044,7 +1134,7 @@ impl Machine {
         let id = *next_dram_id;
         *next_dram_id += 1;
         let dreq = DramRequest { id, addr, bytes, kind: AccessKind::Write };
-        self.vaults[vault as usize].enqueue(dreq, arr).expect("writes fit");
+        self.enqueue_dram(vault, dreq, arr).expect("writes fit");
         vault_ops.insert(id, VaultOp::Fire);
     }
 
@@ -1083,8 +1173,12 @@ impl Machine {
             tx.stats().export(&mut s, &format!("serdes.{tag}.tx"));
             rx.stats().export(&mut s, &format!("serdes.{tag}.rx"));
         }
-        for ((a, b), link) in &self.hmc_links {
-            link.stats().export(&mut s, &format!("serdes.hmc{a}to{b}"));
+        let hmcs = self.cfg.hmcs as usize;
+        for (i, link) in self.hmc_links.iter().enumerate() {
+            if let Some(link) = link {
+                let (a, b) = (i / hmcs, i % hmcs);
+                link.stats().export(&mut s, &format!("serdes.hmc{a}to{b}"));
+            }
         }
         let part = self.partition();
         for (i, l1) in self.l1s.iter().enumerate() {
@@ -1118,7 +1212,7 @@ impl Machine {
             serdes.merge(tx.stats());
             serdes.merge(rx.stats());
         }
-        for link in self.hmc_links.values() {
+        for link in self.hmc_links.iter().flatten() {
             serdes.merge(link.stats());
         }
         (mesh, serdes)
@@ -1127,6 +1221,113 @@ impl Machine {
     /// Number of SerDes link *directions* powered in this system (for idle
     /// energy).
     pub fn serdes_directions(&self) -> u32 {
-        (self.cpu_links.len() * 2 + self.hmc_links.len()) as u32
+        (self.cpu_links.len() * 2 + self.hmc_links.iter().flatten().count()) as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use mondrian_cores::{MicroOp, VecKernel};
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::config::SystemKind;
+
+    fn permutable_store(dst_vault: u32) -> MicroOp {
+        MicroOp::Store { addr: 0, bytes: 16, kind: StoreKind::Permutable { dst_vault } }
+    }
+
+    fn one_kernel(
+        machine: &Machine,
+        unit: usize,
+        ops: Vec<MicroOp>,
+    ) -> Vec<Option<Box<dyn Kernel>>> {
+        let mut kernels: Vec<Option<Box<dyn Kernel>>> =
+            (0..machine.config().compute_units()).map(|_| None).collect();
+        kernels[unit] = Some(Box::new(VecKernel::new(ops)));
+        kernels
+    }
+
+    #[test]
+    fn overflowed_id_leaves_a_hole() {
+        let mut table = Continuations::default();
+        table.insert(0, VaultOp::Fire);
+        // id 1 overflowed: consumed, never registered.
+        table.insert(2, VaultOp::LlcFill { line: 64 });
+        assert_eq!(table.remove(1), None);
+        assert!(!table.all_fire());
+        assert_eq!(table.remove(2), Some(VaultOp::LlcFill { line: 64 }));
+        assert!(table.all_fire());
+        assert_eq!(table.remove(2), None, "a continuation runs once");
+        assert_eq!(table.remove(0), Some(VaultOp::Fire));
+    }
+
+    #[test]
+    fn overflowing_shuffle_still_reports_its_overflows() {
+        let mut machine = Machine::new(SystemConfig::tiny(SystemKind::NmpPerm));
+        let vaults = machine.config().total_vaults();
+        // 16 one-object slots per vault; unit 0 sends 20 objects to vault 1.
+        let regions = (0..vaults)
+            .map(|v| PermutableRegion {
+                base: machine.address_map().vault_base(v),
+                size: 256,
+                object_bytes: 16,
+            })
+            .collect();
+        machine.shuffle_begin(regions);
+        let kernels = one_kernel(&machine, 0, vec![permutable_store(1); 20]);
+        assert_eq!(machine.run_phase(kernels, "overflow").unwrap_err(), 4);
+        let arrivals = machine.shuffle_end();
+        assert_eq!(arrivals[&1].len(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "continuation registered")]
+    fn completion_for_an_unregistered_id_panics() {
+        let mut machine = Machine::new(SystemConfig::tiny(SystemKind::Nmp));
+        let base = machine.address_map().vault_base(0);
+        // A request the event loop never registered, completing inside a
+        // phase that touches the same vault.
+        let stray = DramRequest { id: 1 << 40, addr: base, bytes: 64, kind: AccessKind::Read };
+        machine.vaults[0].enqueue(stray, 0).expect("reads cannot overflow");
+        let kernels = one_kernel(&machine, 0, vec![MicroOp::load(base + 4096, 8)]);
+        let _ = machine.run_phase(kernels, "stray");
+    }
+
+    proptest! {
+        /// The live non-`Fire` count reaches zero exactly when a map of
+        /// the same live continuations holds nothing but `Fire`.
+        #[test]
+        fn all_fire_tracks_the_live_set(steps in prop::collection::vec((0u32..4, 0usize..64), 1..200)) {
+            let mut table = Continuations::default();
+            let mut model: HashMap<u64, VaultOp> = HashMap::new();
+            let mut next_id = 0u64;
+            for (action, pick) in steps {
+                match action {
+                    0 | 1 => {
+                        let op = if action == 0 {
+                            VaultOp::Fire
+                        } else {
+                            VaultOp::L1Fill { core: pick, line: next_id * 64 }
+                        };
+                        table.insert(next_id, op);
+                        model.insert(next_id, op);
+                        next_id += 1;
+                    }
+                    // An overflowed permutable write: an id, no entry.
+                    2 => next_id += 1,
+                    _ => {
+                        let id = if next_id == 0 { 0 } else { pick as u64 % next_id };
+                        prop_assert_eq!(table.remove(id), model.remove(&id));
+                    }
+                }
+                prop_assert_eq!(
+                    table.all_fire(),
+                    model.values().all(|op| matches!(op, VaultOp::Fire))
+                );
+            }
+        }
     }
 }

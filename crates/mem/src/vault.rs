@@ -540,7 +540,8 @@ impl VaultController {
     }
 
     /// The next time the controller needs attention (a completion fires or a
-    /// bank frees up with work pending), or `None` when fully idle.
+    /// bank frees up with work pending), or `None` when fully idle. It reads
+    /// controller state only, so it can change only across `enqueue` or `poll`.
     pub fn next_event_time(&self) -> Option<Time> {
         let mut next = self.completions.peek_time();
         // Work is pending: the earliest a stalled request can issue is when
