@@ -7,7 +7,8 @@
 //! baseline — the determinism guarantee, enforced on every benchmark.
 //! The report (`BENCH_sweep.json`) records the host core count alongside
 //! the sweep, so a flat curve on a one-core container reads as expected
-//! rather than as a regression.
+//! rather than as a regression, and a determinism fingerprint folded over
+//! every artifact.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,10 +55,11 @@ pub struct BenchReport {
     pub memo_hits: usize,
     /// Host cores available when the benchmark ran.
     pub host_cores: usize,
-    /// Engine event-loop threads per run the whole ladder was measured
-    /// with (`0` = follow the executor's per-run budget). Recorded so a
-    /// sweep read later says what engine threading produced its numbers.
-    pub sim_threads: usize,
+    /// The determinism fingerprint: an FNV-1a digest folded over the
+    /// baseline's artifact digest and then every ladder point's. If any
+    /// point's artifact diverges, the fingerprint moves, so two hosts (or
+    /// two commits) agreeing on it agree on every byte of every point.
+    pub fingerprint: String,
     /// The jobs ladder, in the requested order.
     pub points: Vec<BenchPoint>,
 }
@@ -78,7 +80,7 @@ impl BenchReport {
         root.insert("runs", Value::Int(self.runs as i64));
         root.insert("memo_hits", Value::Int(self.memo_hits as i64));
         root.insert("host_cores", Value::Int(self.host_cores as i64));
-        root.insert("sim_threads", Value::Int(self.sim_threads as i64));
+        root.insert("fingerprint", Value::Str(self.fingerprint.clone()));
         root.insert(
             "sweep",
             Value::Array(
@@ -103,8 +105,8 @@ impl BenchReport {
     }
 
     /// One compact JSON line for `BENCH_history.jsonl`: the commit, host
-    /// core count and the full `sim_wall_ms` ladder. Appending (instead
-    /// of overwriting, as `BENCH_sweep.json` does) accumulates a
+    /// core count, fingerprint and the full `wall_ms` ladder. Appending
+    /// (instead of overwriting, as `BENCH_sweep.json` does) accumulates a
     /// wall-clock trend across commits.
     pub fn history_line(&self, commit: &str) -> String {
         // Strings go through the Value serializer's JSON escaping (Rust's
@@ -122,13 +124,13 @@ impl BenchReport {
             })
             .collect();
         format!(
-            "{{\"commit\":{},\"campaign\":{},\"host_cores\":{},\"sim_threads\":{},\
-             \"runs\":{},\"sweep\":[{}]}}",
+            "{{\"commit\":{},\"campaign\":{},\"host_cores\":{},\"runs\":{},\
+             \"fingerprint\":{},\"sweep\":[{}]}}",
             json_str(commit),
             json_str(&self.campaign),
             self.host_cores,
-            self.sim_threads,
             self.runs,
+            json_str(&self.fingerprint),
             points.join(","),
         )
     }
@@ -136,12 +138,8 @@ impl BenchReport {
     /// One line per ladder point for terminals.
     pub fn human_summary(&self) -> String {
         let mut out = format!(
-            "bench {:?}: {} runs ({} memoized), {} host core(s), sim_threads={}\n",
-            self.campaign,
-            self.runs,
-            self.memo_hits,
-            self.host_cores,
-            if self.sim_threads == 0 { "auto".to_string() } else { self.sim_threads.to_string() },
+            "bench {:?}: {} runs ({} memoized), {} host core(s), fingerprint {}\n",
+            self.campaign, self.runs, self.memo_hits, self.host_cores, self.fingerprint,
         );
         out.push_str(&one_core_note(self.host_cores));
         for p in &self.points {
@@ -163,7 +161,8 @@ impl BenchReport {
 /// of `repeat` executions) and cross-checks every artifact byte for byte
 /// against a **single-worker baseline** — which is always executed, even
 /// when `1` is absent from the ladder, so a parallelism bug can never
-/// hide behind a ladder that skips the serial run.
+/// hide behind a ladder that skips the serial run. Every artifact digest
+/// is folded into the report's determinism fingerprint.
 pub fn bench(manifest: &Manifest, jobs_list: &[usize], repeat: usize) -> BenchReport {
     assert!(!jobs_list.is_empty(), "bench needs at least one jobs value");
     let repeat = repeat.max(1);
@@ -199,6 +198,9 @@ pub fn bench(manifest: &Manifest, jobs_list: &[usize], repeat: usize) -> BenchRe
         (artifact, best, verified, events)
     };
     let (base_artifact, base_wall, base_verified, base_events) = measure(1);
+    let digest = |artifact: &str| format!("{:016x}", fnv1a(artifact.as_bytes()));
+    // Digest of digests: the baseline's first, then each point's.
+    let mut digests = digest(&base_artifact);
     let mut points = Vec::with_capacity(jobs_list.len());
     for &jobs in jobs_list {
         let (artifact, wall_ms, verified, events) = if jobs == 1 {
@@ -206,6 +208,7 @@ pub fn bench(manifest: &Manifest, jobs_list: &[usize], repeat: usize) -> BenchRe
         } else {
             measure(jobs)
         };
+        digests.push_str(&digest(&artifact));
         points.push(BenchPoint {
             jobs,
             wall_ms,
@@ -222,7 +225,7 @@ pub fn bench(manifest: &Manifest, jobs_list: &[usize], repeat: usize) -> BenchRe
         runs,
         memo_hits,
         host_cores: host_cores(),
-        sim_threads: manifest.sim_threads.unwrap_or(0),
+        fingerprint: format!("{:016x}", fnv1a(digests.as_bytes())),
         points,
     }
 }
@@ -243,134 +246,6 @@ pub fn one_core_note(host_cores: usize) -> String {
     }
 }
 
-/// One point of the engine scaling ladder: a full campaign measured at
-/// one `(sim_threads, jobs)` combination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnginePoint {
-    /// Engine event-loop threads per run.
-    pub sim_threads: usize,
-    /// Campaign worker threads.
-    pub jobs: usize,
-    /// Best-of-`repeat` wall-clock milliseconds for the whole campaign.
-    pub wall_ms: f64,
-    /// Serial baseline (`sim_threads = 1, jobs = 1`) wall time divided by
-    /// this point's.
-    pub speedup: f64,
-    /// Discrete engine events the campaign's non-memoized runs processed.
-    pub events: u64,
-    /// Engine events simulated per host wall-clock second.
-    pub events_per_sec: f64,
-    /// Whether the artifact matched the serial baseline byte for byte.
-    pub identical: bool,
-    /// Whether every stage of every run verified.
-    pub verified: bool,
-}
-
-/// Results of one engine scaling sweep (`mondrian bench --engine`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineReport {
-    /// Campaign name.
-    pub campaign: String,
-    /// Runs in the sweep cross product.
-    pub runs: usize,
-    /// Host cores available when the benchmark ran.
-    pub host_cores: usize,
-    /// The determinism fingerprint: an FNV-1a digest folded over every
-    /// ladder point's artifact digest *and* the baseline's. One campaign
-    /// has exactly one honest fingerprint — if any point's artifact
-    /// diverges, the fingerprint moves, so two hosts (or two commits)
-    /// agreeing on it agree on every byte of every point.
-    pub fingerprint: String,
-    /// The `(sim_threads, jobs)` ladder, in sweep order.
-    pub points: Vec<EnginePoint>,
-}
-
-impl EngineReport {
-    /// Whether every point verified and matched the baseline artifact.
-    pub fn ok(&self) -> bool {
-        self.points.iter().all(|p| p.identical && p.verified)
-    }
-
-    /// The JSON document written to `BENCH_sweep.json` in engine mode.
-    pub fn to_json(&self) -> String {
-        let round = |x: f64| (x * 1000.0).round() / 1000.0;
-        let mut root = Value::table();
-        root.insert("campaign", Value::Str(self.campaign.clone()));
-        root.insert("runs", Value::Int(self.runs as i64));
-        root.insert("host_cores", Value::Int(self.host_cores as i64));
-        root.insert("fingerprint", Value::Str(self.fingerprint.clone()));
-        root.insert(
-            "engine_sweep",
-            Value::Array(
-                self.points
-                    .iter()
-                    .map(|p| {
-                        let mut t = Value::table();
-                        t.insert("sim_threads", Value::Int(p.sim_threads as i64));
-                        t.insert("jobs", Value::Int(p.jobs as i64));
-                        t.insert("wall_ms", Value::Float(round(p.wall_ms)));
-                        t.insert("speedup", Value::Float(round(p.speedup)));
-                        t.insert("events", Value::Int(p.events as i64));
-                        t.insert("events_per_sec", Value::Float(p.events_per_sec.round()));
-                        t.insert("identical", Value::Bool(p.identical));
-                        t.insert("verified", Value::Bool(p.verified));
-                        t
-                    })
-                    .collect(),
-            ),
-        );
-        root.to_json()
-    }
-
-    /// One compact JSON line for `BENCH_history.jsonl` (engine mode).
-    pub fn history_line(&self, commit: &str) -> String {
-        let json_str = |s: &str| Value::Str(s.to_string()).to_json().trim().to_string();
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"sim_threads\":{},\"jobs\":{},\"wall_ms\":{:.3},\"speedup\":{:.3},\
-                     \"events_per_sec\":{:.0},\"identical\":{}}}",
-                    p.sim_threads, p.jobs, p.wall_ms, p.speedup, p.events_per_sec, p.identical,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"commit\":{},\"campaign\":{},\"host_cores\":{},\"runs\":{},\
-             \"fingerprint\":{},\"engine\":[{}]}}",
-            json_str(commit),
-            json_str(&self.campaign),
-            self.host_cores,
-            self.runs,
-            json_str(&self.fingerprint),
-            points.join(","),
-        )
-    }
-
-    /// One line per ladder point for terminals.
-    pub fn human_summary(&self) -> String {
-        let mut out = format!(
-            "bench --engine {:?}: {} runs, {} host core(s), fingerprint {}\n",
-            self.campaign, self.runs, self.host_cores, self.fingerprint,
-        );
-        out.push_str(&one_core_note(self.host_cores));
-        for p in &self.points {
-            out.push_str(&format!(
-                "  sim_threads={:<3} jobs={:<3} {:>10.3} ms  {:>6.2}x  {:>12.0} events/s  {}{}\n",
-                p.sim_threads,
-                p.jobs,
-                p.wall_ms,
-                p.speedup,
-                p.events_per_sec,
-                if p.identical { "byte-identical" } else { "ARTIFACT DIVERGED" },
-                if p.verified { "" } else { " VERIFICATION FAILED" },
-            ));
-        }
-        out
-    }
-}
-
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -379,85 +254,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// The engine scaling harness: runs `manifest` once per point of the
-/// `sim_threads_list` × `jobs_list` cross product (each timed as the best
-/// of `repeat` executions), cross-checks every artifact byte for byte
-/// against the always-executed serial baseline (`sim_threads = 1,
-/// jobs = 1`), and folds every artifact digest into one determinism
-/// fingerprint.
-pub fn bench_engine(
-    manifest: &Manifest,
-    sim_threads_list: &[usize],
-    jobs_list: &[usize],
-    repeat: usize,
-) -> EngineReport {
-    assert!(!sim_threads_list.is_empty(), "bench --engine needs at least one sim_threads value");
-    assert!(!jobs_list.is_empty(), "bench --engine needs at least one jobs value");
-    let repeat = repeat.max(1);
-    let mut runs = 0;
-    let mut measure = |sim_threads: usize, jobs: usize| {
-        let mut pinned = manifest.clone();
-        pinned.sim_threads = Some(sim_threads);
-        let mut best = f64::INFINITY;
-        let mut artifact = String::new();
-        let mut verified = true;
-        let mut events: u64 = 0;
-        for r in 0..repeat {
-            let start = Instant::now();
-            let campaign = run_campaign_jobs(&pinned, jobs, |_| {});
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            if r == 0 {
-                verified = campaign.verified();
-                artifact = campaign.to_json();
-                runs = campaign.runs.len();
-                events = campaign
-                    .runs
-                    .iter()
-                    .filter(|run| !run.memoized)
-                    .filter_map(|run| run.report.as_ref())
-                    .map(mondrian_pipeline::PipelineReport::events)
-                    .sum();
-            }
-        }
-        (artifact, best, verified, events)
-    };
-    let (base_artifact, base_wall, base_verified, base_events) = measure(1, 1);
-    let mut fingerprint = fnv1a(format!("{:016x}", fnv1a(base_artifact.as_bytes())).as_bytes());
-    let mut points = Vec::with_capacity(sim_threads_list.len() * jobs_list.len());
-    for &sim_threads in sim_threads_list {
-        for &jobs in jobs_list {
-            let (artifact, wall_ms, verified, events) = if (sim_threads, jobs) == (1, 1) {
-                (base_artifact.clone(), base_wall, base_verified, base_events)
-            } else {
-                measure(sim_threads, jobs)
-            };
-            // Digest-of-digests: fold this point's artifact digest into
-            // the running fingerprint.
-            for &b in format!("{:016x}", fnv1a(artifact.as_bytes())).as_bytes() {
-                fingerprint ^= u64::from(b);
-                fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            points.push(EnginePoint {
-                sim_threads,
-                jobs,
-                wall_ms,
-                speedup: base_wall / wall_ms.max(1e-9),
-                events,
-                events_per_sec: events as f64 * 1e3 / wall_ms.max(1e-9),
-                identical: artifact == base_artifact,
-                verified,
-            });
-        }
-    }
-    EngineReport {
-        campaign: manifest.name.clone(),
-        runs,
-        host_cores: host_cores(),
-        fingerprint: format!("{fingerprint:016x}"),
-        points,
-    }
 }
 
 /// One point of the cold/warm persistence ladder: a full campaign against
@@ -687,6 +483,33 @@ mod tests {
     }
 
     #[test]
+    fn engine_ladder_is_identical_and_fingerprint_is_stable() {
+        let manifest = Manifest::parse(MANIFEST, Format::Toml).unwrap();
+        let report = bench(&manifest, &[1, 2, 4], 1);
+        assert!(report.ok(), "every jobs point's artifact must match the serial baseline");
+        assert!(report.points.iter().all(|p| p.events == report.points[0].events));
+        // The fingerprint is a pure function of the (deterministic)
+        // artifacts: an independent sweep reproduces it exactly.
+        let again = bench(&manifest, &[1, 2, 4], 1);
+        assert_eq!(report.fingerprint, again.fingerprint);
+        assert_eq!(report.fingerprint.len(), 16);
+        assert!(report.fingerprint.bytes().all(|b| b.is_ascii_hexdigit()));
+        let doc = crate::value::parse_json(&report.to_json()).unwrap();
+        assert_eq!(
+            doc.get("fingerprint").and_then(crate::value::Value::as_str),
+            Some(report.fingerprint.as_str())
+        );
+        let line = report.history_line("abc123");
+        assert!(!line.contains('\n'));
+        let doc = crate::value::parse_json(&line).unwrap();
+        assert_eq!(
+            doc.get("fingerprint").and_then(crate::value::Value::as_str),
+            Some(report.fingerprint.as_str())
+        );
+        assert!(report.human_summary().contains(&report.fingerprint));
+    }
+
+    #[test]
     fn history_line_is_one_valid_json_object() {
         let manifest = Manifest::parse(MANIFEST, Format::Toml).unwrap();
         let report = bench(&manifest, &[1, 2], 1);
@@ -703,51 +526,10 @@ mod tests {
             Some(2)
         );
         assert!(doc.get("host_cores").is_some());
-    }
-
-    #[test]
-    fn engine_ladder_is_identical_and_fingerprint_is_stable() {
-        let manifest = Manifest::parse(MANIFEST, Format::Toml).unwrap();
-        let report = bench_engine(&manifest, &[1, 2, 4], &[1, 2], 1);
-        assert!(report.ok(), "every (sim_threads, jobs) artifact must match the serial baseline");
-        assert_eq!(report.points.len(), 6);
-        assert!(report.points.iter().all(|p| p.events == report.points[0].events));
-        assert!(report.points.iter().all(|p| p.events_per_sec > 0.0));
-        // The fingerprint is a pure function of the (deterministic)
-        // artifacts: an independent sweep reproduces it exactly.
-        let again = bench_engine(&manifest, &[1, 2, 4], &[1, 2], 1);
-        assert_eq!(report.fingerprint, again.fingerprint);
-        assert_eq!(report.fingerprint.len(), 16);
-        let json = report.to_json();
-        let doc = crate::value::parse_json(&json).unwrap();
         assert_eq!(
             doc.get("fingerprint").and_then(crate::value::Value::as_str),
             Some(report.fingerprint.as_str())
         );
-        assert_eq!(
-            doc.get("engine_sweep").and_then(crate::value::Value::as_array).map(<[_]>::len),
-            Some(6)
-        );
-        let line = report.history_line("abc123");
-        assert!(!line.contains('\n'));
-        let doc = crate::value::parse_json(&line).unwrap();
-        assert!(doc.get("fingerprint").is_some());
-        assert!(report.human_summary().contains("sim_threads=1"));
-    }
-
-    #[test]
-    fn plain_bench_records_the_sim_threads_knob() {
-        let pinned =
-            MANIFEST.replace("tuples_per_vault = 64", "tuples_per_vault = 64\nsim_threads = 2");
-        let manifest = Manifest::parse(&pinned, Format::Toml).unwrap();
-        let report = bench(&manifest, &[1], 1);
-        assert_eq!(report.sim_threads, 2);
-        assert!(report.to_json().contains("\"sim_threads\": 2"));
-        assert!(report.history_line("abc").contains("\"sim_threads\":2"));
-        // Unpinned manifests record the follow-the-executor default.
-        let auto = bench(&Manifest::parse(MANIFEST, Format::Toml).unwrap(), &[1], 1);
-        assert_eq!(auto.sim_threads, 0);
-        assert!(auto.human_summary().contains("sim_threads=auto"));
     }
 
     #[test]

@@ -293,8 +293,8 @@ pub fn run_campaign_sink<F: FnMut(&CampaignRun)>(
 /// only the DAG suffix whose digest chain changed. Runs that end
 /// faulted, retried, skipped, or otherwise non-`Ok` are never written
 /// back. The artifact stays byte-identical to a storeless campaign for
-/// every `jobs`/`sim_threads` value: cache provenance is only
-/// serialized under `--timings`.
+/// every `jobs` value: cache provenance is only serialized under
+/// `--timings`.
 pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
     manifest: &Manifest,
     jobs: usize,
@@ -426,7 +426,7 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
 
     // Runs one sweep point, converting panics into a structured exit:
     // tripped limits pass through unchanged; anything else (an injected
-    // fault, a pool-worker panic, a bug) gets exactly one retry before
+    // fault, a branch-thread panic, a bug) gets exactly one retry before
     // it becomes a `worker_panic` failure of this sweep point alone.
     // With a store attached, a full-run hit short-circuits everything —
     // including the fault machinery, which is safe because the faulted
@@ -593,7 +593,6 @@ fn classify_panic(payload: &(dyn std::any::Any + Send)) -> RunExit {
             let reason = match abort.reason {
                 AbortReason::LimitEvents => ExitReason::LimitEvents,
                 AbortReason::LimitWallTime => ExitReason::LimitWallTime,
-                AbortReason::WorkerPanic => ExitReason::WorkerPanic,
             };
             RunExit { reason, detail: abort.detail.clone() }
         }

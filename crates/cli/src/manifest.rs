@@ -17,9 +17,6 @@
 //! concurrency = "serial"        # "serial" | "branch" | "stream" | "auto"; default serial
 //! jobs = 4                      # worker threads; default all host cores
 //!                               # (overridden by MONDRIAN_JOBS / --jobs)
-//! sim_threads = 2               # engine event-loop threads per run;
-//!                               # default follows the per-run thread
-//!                               # budget (overridden by --sim-threads)
 //!
 //! [sweep]                       # optional; lists override the scalars
 //! tuples_per_vault = [256, 512]
@@ -150,7 +147,7 @@ impl RunSpec {
 
 /// Cooperative resource limits (`[limits]`). Every limit is enforced at
 /// deterministic checkpoints, so a tripped limit truncates the campaign
-/// at the same point for every `--jobs` / `--sim-threads` value.
+/// at the same point for every `--jobs` value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Limits {
     /// Campaign wall-clock budget in milliseconds (host time; checked at
@@ -208,10 +205,6 @@ pub struct Manifest {
     /// `MONDRIAN_JOBS` environment variable, else every host core).
     /// Execution speed only — results are byte-identical for every value.
     pub jobs: Option<usize>,
-    /// Host threads for each run's engine event loop (`None` = follow
-    /// the executor's per-run thread budget). Execution speed only —
-    /// results are byte-identical for every value.
-    pub sim_threads: Option<usize>,
     /// The pipeline stages.
     pub stages: Vec<Stage>,
     /// Optional per-stage labels (unique when present).
@@ -264,7 +257,6 @@ impl Manifest {
                 "key_bound",
                 "concurrency",
                 "jobs",
-                "sim_threads",
             ],
         )?;
         let name = campaign
@@ -337,10 +329,6 @@ impl Manifest {
         let jobs = get_usize(campaign, "campaign.jobs", "jobs")?;
         if jobs == Some(0) {
             return Err("campaign.jobs must be at least 1".into());
-        }
-        let sim_threads = get_usize(campaign, "campaign.sim_threads", "sim_threads")?;
-        if sim_threads == Some(0) {
-            return Err("campaign.sim_threads must be at least 1".into());
         }
 
         let mut tuples_per_vault = vec![tpv_scalar];
@@ -454,7 +442,6 @@ impl Manifest {
             key_bound,
             concurrency,
             jobs,
-            sim_threads,
             stages,
             stage_names,
             limits,
@@ -513,7 +500,6 @@ impl Manifest {
         cfg.key_bound = self.key_bound;
         cfg.underprovision = run.underprovision;
         cfg.concurrency = self.concurrency;
-        cfg.sim_threads = self.sim_threads.unwrap_or(0);
         cfg
     }
 }
@@ -843,7 +829,6 @@ mod tests {
         assert_eq!(m.topologies, vec![true]);
         assert_eq!(m.underprovision, vec![None]);
         assert_eq!(m.concurrency, Concurrency::Serial);
-        assert_eq!(m.sim_threads, None);
         assert_eq!(m.stages.len(), 3);
         assert_eq!(m.stages[0].spec, StageSpec::Filter { modulus: 10, remainder: 0 });
         assert_eq!(m.stages[0].inputs, vec![StageInput::Prev]);
@@ -965,23 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_knob_parses_and_reaches_config() {
-        let text = MINIMAL
-            .replace("systems = [\"mondrian\"]", "systems = [\"mondrian\"]\nsim_threads = 4");
-        let m = Manifest::parse(&text, Format::Toml).unwrap();
-        assert_eq!(m.sim_threads, Some(4));
-        assert_eq!(m.config_for(m.runs()[0]).sim_threads, 4);
-        // Absent, the config keeps the follow-the-executor default.
-        let default = Manifest::parse(MINIMAL, Format::Toml).unwrap();
-        assert_eq!(default.config_for(default.runs()[0]).sim_threads, 0);
-        let zero = MINIMAL
-            .replace("systems = [\"mondrian\"]", "systems = [\"mondrian\"]\nsim_threads = 0");
-        assert!(Manifest::parse(&zero, Format::Toml)
-            .unwrap_err()
-            .contains("sim_threads must be at least 1"));
-    }
-
-    #[test]
     fn all_expands_to_every_system() {
         let text = MINIMAL.replace("[\"mondrian\"]", "[\"all\"]");
         let m = Manifest::parse(&text, Format::Toml).unwrap();
@@ -1096,13 +1064,18 @@ mod tests {
             "unknown key \"limitz\" in the manifest; expected one of \
              [\"assertions\", \"campaign\", \"faults\", \"limits\", \"stage\", \"sweep\"]"
         );
-        let campaign = MINIMAL.replace("name = \"t\"", "name = \"t\"\nretries = 3");
-        assert_eq!(
-            Manifest::parse(&campaign, Format::Toml).unwrap_err(),
-            "unknown key \"retries\" in [campaign]; expected one of \
-             [\"concurrency\", \"jobs\", \"key_bound\", \"key_dist\", \"name\", \"seed\", \
-             \"sim_threads\", \"systems\", \"topology\", \"tuples_per_vault\", \"zipf_theta\"]"
-        );
+        // A removed key (`sim_threads`) is rejected like any other unknown key.
+        for key in ["retries", "sim_threads"] {
+            let campaign = MINIMAL.replace("name = \"t\"", &format!("name = \"t\"\n{key} = 3"));
+            assert_eq!(
+                Manifest::parse(&campaign, Format::Toml).unwrap_err(),
+                format!(
+                    "unknown key \"{key}\" in [campaign]; expected one of \
+                     [\"concurrency\", \"jobs\", \"key_bound\", \"key_dist\", \"name\", \
+                     \"seed\", \"systems\", \"topology\", \"tuples_per_vault\", \"zipf_theta\"]"
+                )
+            );
+        }
         let stage = MINIMAL.replace("op = \"filter\"", "op = \"filter\"\nmodulos = 2");
         assert_eq!(
             Manifest::parse(&stage, Format::Toml).unwrap_err(),

@@ -103,11 +103,36 @@ fn missing_manifest_is_an_internal_error() {
 fn malformed_manifest_exits_invalid_manifest() {
     let dir = TempDir::new("invalid");
     let path = dir.path("bad.toml");
-    std::fs::write(&path, "[campaign]\nname = \"x\"\nbogus_key = 1\n").unwrap();
-    let output = mondrian().args(["run", path.to_str().unwrap()]).output().unwrap();
-    assert_eq!(code(&output), 2);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown key"), "stderr: {stderr}");
+    // A removed key (`sim_threads`) is rejected like any other unknown key.
+    for key in ["bogus_key", "sim_threads"] {
+        std::fs::write(&path, format!("[campaign]\nname = \"x\"\n{key} = 2\n")).unwrap();
+        let output = mondrian().args(["run", path.to_str().unwrap()]).output().unwrap();
+        assert_eq!(code(&output), 2, "{key}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("unknown key \"{key}\"")), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn removed_engine_thread_flags_are_unknown_flags() {
+    let dir = TempDir::new("flags");
+    let manifest = write_manifest(&dir, "m.toml", "");
+    let manifest = manifest.to_str().unwrap();
+    let unknown = |args: &[&str]| {
+        let output = mondrian().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (code(&output), stderr)
+    };
+    let (bogus, _) = unknown(&["run", manifest, "--bogus"]);
+    for (args, flag) in [
+        (&["run", manifest, "--sim-threads", "2"][..], "--sim-threads"),
+        (&["bench", manifest, "--engine"][..], "--engine"),
+    ] {
+        let (exit, stderr) = unknown(args);
+        assert_eq!(exit, bogus, "{flag} must exit like any other unknown flag");
+        assert_eq!(exit, 1);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "stderr: {stderr}");
+    }
 }
 
 #[test]

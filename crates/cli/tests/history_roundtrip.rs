@@ -33,6 +33,7 @@ fn hostile_string(codes: Vec<u32>) -> String {
 fn report(
     commit_codes: Vec<u32>,
     campaign_codes: Vec<u32>,
+    fingerprint: u64,
     points: Vec<(u64, u64, bool)>,
 ) -> (String, BenchReport) {
     let commit = hostile_string(commit_codes);
@@ -55,7 +56,7 @@ fn report(
         runs: points.len().max(1),
         memo_hits: 0,
         host_cores: 1,
-        sim_threads: 0,
+        fingerprint: format!("{fingerprint:016x}"),
         points,
     };
     (commit, report)
@@ -63,18 +64,19 @@ fn report(
 
 proptest! {
     /// Every generated history line is exactly one line of valid JSON,
-    /// and parsing it recovers the commit, campaign, core counts and the
-    /// full sweep ladder.
+    /// and parsing it recovers the commit, campaign, core counts,
+    /// fingerprint and the full sweep ladder.
     #[test]
     fn history_line_round_trips(
         params in (
             prop::collection::vec(0u32..0x10000, 0..16),
             prop::collection::vec(0u32..0x10000, 0..16),
+            0u64..u64::MAX,
             prop::collection::vec((0u64..64, 0u64..100_000, any::<bool>()), 1..6),
         )
     ) {
-        let (commit_codes, campaign_codes, point_specs) = params;
-        let (commit, report) = report(commit_codes, campaign_codes, point_specs);
+        let (commit_codes, campaign_codes, fingerprint, point_specs) = params;
+        let (commit, report) = report(commit_codes, campaign_codes, fingerprint, point_specs);
         let line = report.history_line(&commit);
         prop_assert!(!line.contains('\n'), "jsonl: exactly one line");
         let doc = parse_json(&line).expect("history line is valid JSON");
@@ -85,6 +87,10 @@ proptest! {
         );
         prop_assert_eq!(doc.get("host_cores").and_then(Value::as_int), Some(1));
         prop_assert_eq!(doc.get("runs").and_then(Value::as_int), Some(report.runs as i64));
+        prop_assert_eq!(
+            doc.get("fingerprint").and_then(Value::as_str),
+            Some(report.fingerprint.as_str())
+        );
         let sweep = doc.get("sweep").and_then(Value::as_array).expect("sweep array");
         prop_assert_eq!(sweep.len(), report.points.len());
         for (entry, point) in sweep.iter().zip(&report.points) {

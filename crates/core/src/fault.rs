@@ -3,15 +3,15 @@
 //! The robustness layer needs two things from the engine core:
 //!
 //! * **Structured aborts** — when a cooperative limit trips (event budget,
-//!   wall-time deadline) or a pool worker panics, the engine unwinds with
-//!   an [`Abort`] payload instead of a bare string, so the campaign layer
-//!   can map the failure onto a standardized exit reason without parsing
-//!   panic messages.
+//!   wall-time deadline), the engine unwinds with an [`Abort`] payload
+//!   instead of a bare string, so the campaign layer can map the failure
+//!   onto a standardized exit reason without parsing panic messages. Any
+//!   other panic is a worker panic.
 //! * **Deterministic fault points** — test-only trapdoors, compiled in
 //!   behind the `fault-inject` feature and armed by a [`FaultPlan`], that
 //!   fire at *simulation-deterministic* checkpoints (the Nth non-tick
 //!   event, a vault poll, a stage digest) so an injected failure lands at
-//!   the same point for every `--jobs` / `--sim-threads` value.
+//!   the same point for every `--jobs` value.
 //!
 //! Without the `fault-inject` feature every fault point compiles to a
 //! no-op; aborts and limits are always live.
@@ -28,8 +28,6 @@ pub enum AbortReason {
     LimitEvents,
     /// The wall-time deadline passed at a cooperative checkpoint.
     LimitWallTime,
-    /// A worker (pool or injected) panicked.
-    WorkerPanic,
 }
 
 impl AbortReason {
@@ -38,14 +36,13 @@ impl AbortReason {
         match self {
             AbortReason::LimitEvents => "limit_events",
             AbortReason::LimitWallTime => "limit_wall_time",
-            AbortReason::WorkerPanic => "worker_panic",
         }
     }
 }
 
 /// The structured panic payload the engine unwinds with at a tripped
-/// limit or converted worker panic. Caught by the campaign layer's
-/// `catch_unwind` and mapped to a per-run `exit: {reason, detail}`.
+/// limit. Caught by the campaign layer's `catch_unwind` and mapped to a
+/// per-run `exit: {reason, detail}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Abort {
     /// What class of failure tripped.
@@ -94,7 +91,7 @@ pub struct FaultPlan {
     pub stall_ms: u64,
     /// XOR a constant into this stage's recorded output digest.
     pub corrupt_digest_stage: Option<usize>,
-    /// Panic inside a vault poll (serial or pooled — same message).
+    /// Panic inside a vault poll.
     pub panic_in_vault_poll: bool,
     /// How many times the fault fires before disarming (`None` = every
     /// time). `Some(1)` exercises the campaign's bounded retry.
@@ -135,11 +132,9 @@ impl FaultHandle {
 /// A fault-point site, identified by deterministic simulation state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// The engine's serial event loop, carrying the machine's cumulative
+    /// The engine's event loop, carrying the machine's cumulative
     /// non-tick event count.
     Event(u64),
-    /// A vault poll about to run.
-    VaultPoll,
 }
 
 /// Evaluates `site` against an armed plan: panics or stalls on a match.
@@ -155,11 +150,6 @@ pub fn trip(handle: &FaultHandle, site: Site) {
                 std::thread::sleep(std::time::Duration::from_millis(handle.plan.stall_ms));
             }
         }
-        Site::VaultPoll => {
-            if handle.plan.panic_in_vault_poll && handle.arm() {
-                panic!("injected vault-poll fault");
-            }
-        }
     }
 }
 
@@ -168,9 +158,8 @@ pub fn trip(handle: &FaultHandle, site: Site) {
 pub fn trip(_handle: &FaultHandle, _site: Site) {}
 
 /// Whether an armed plan injects a panic into the next vault poll. The
-/// engine evaluates this once per tick batch — before choosing the
-/// serial or pooled path — so the failure (message included) is
-/// identical for every `sim_threads` value. Compiled to a constant
+/// engine evaluates this once per vault tick, before polling; the panic
+/// reaches the campaign layer as a `worker_panic`. Compiled to a constant
 /// `false` without the `fault-inject` feature.
 #[cfg(feature = "fault-inject")]
 pub fn vault_poll_boom(handle: Option<&FaultHandle>) -> bool {

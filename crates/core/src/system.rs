@@ -21,11 +21,6 @@ use mondrian_sim::{EventQueue, Stats, Time, PS_PER_NS};
 
 use crate::config::{PartitionSpec, SystemConfig};
 use crate::fault::{self, Abort, AbortReason};
-use crate::pool::TickPool;
-
-/// Smallest simultaneous-tick batch worth handing to the worker pool;
-/// below this the channel round-trips cost more than the polls.
-const MIN_PARALLEL_TICKS: usize = 2;
 
 /// Outcome of one executed phase.
 #[derive(Debug, Clone)]
@@ -46,9 +41,8 @@ pub struct PhaseOutcome {
     /// §5.4 exception path; non-zero values fail the phase).
     pub overflows: u64,
     /// Discrete events processed by the phase's event loop, excluding
-    /// vault ticks: the serial loop keeps popping tail ticks that the
-    /// parallel tail drain skips, so counting them would make the figure
-    /// depend on `sim_threads` and break artifact byte-identity.
+    /// vault ticks: the artifact's `engine.events` counts core-side and
+    /// fill events only.
     pub events: u64,
 }
 
@@ -94,15 +88,11 @@ enum VaultOp {
 #[derive(Debug, Default)]
 struct Continuations {
     slots: Vec<Option<VaultOp>>,
-    /// Registered continuations other than [`VaultOp::Fire`]; zero exactly
-    /// when every in-flight op is fire-and-forget.
-    live_non_fire: usize,
 }
 
 impl Continuations {
     fn clear(&mut self) {
         self.slots.clear();
-        self.live_non_fire = 0;
     }
 
     fn insert(&mut self, id: u64, op: VaultOp) {
@@ -111,23 +101,11 @@ impl Continuations {
             self.slots.resize(i + 1, None);
         }
         debug_assert!(self.slots[i].is_none(), "DRAM id {id} registered twice");
-        if !matches!(op, VaultOp::Fire) {
-            self.live_non_fire += 1;
-        }
         self.slots[i] = Some(op);
     }
 
     fn remove(&mut self, id: u64) -> Option<VaultOp> {
-        let op = self.slots.get_mut(usize::try_from(id).ok()?)?.take()?;
-        if !matches!(op, VaultOp::Fire) {
-            self.live_non_fire -= 1;
-        }
-        Some(op)
-    }
-
-    /// Whether every registered continuation is fire-and-forget.
-    fn all_fire(&self) -> bool {
-        self.live_non_fire == 0
+        self.slots.get_mut(usize::try_from(id).ok()?)?.take()
     }
 }
 
@@ -154,10 +132,8 @@ struct PhaseScratch {
     stalls: Vec<VecDeque<usize>>,
     handle_reqs: VecDeque<(usize, MemRequest)>,
     out_buf: Vec<MemRequest>,
-    /// The simultaneous-tick batch under assembly: `(vault, time)`.
-    tick_batch: Vec<(u32, Time)>,
-    /// Per-batch-slot completion buffers the tick polls write into.
-    tick_done: Vec<Vec<DramCompletion>>,
+    /// Completions of the vault poll being handled.
+    completions: Vec<DramCompletion>,
 }
 
 impl PhaseScratch {
@@ -177,8 +153,7 @@ impl PhaseScratch {
         }
         self.handle_reqs.clear();
         self.out_buf.clear();
-        self.tick_batch.clear();
-        self.tick_done.resize_with(vaults, Vec::new);
+        self.completions.clear();
     }
 }
 
@@ -208,9 +183,6 @@ pub struct Machine {
     /// Vaults enqueued into since the event loop last re-armed them (see
     /// [`Machine::enqueue_dram`]); may repeat a vault.
     touched: Vec<u32>,
-    /// Lazily spawned worker pool for batched vault ticks; lives for the
-    /// machine's lifetime once the first parallel batch appears.
-    tick_pool: Option<TickPool>,
     /// Cumulative non-tick events across every phase this machine has run
     /// — the deterministic clock the cooperative event budget and the
     /// `panic_at_event` fault point are measured against.
@@ -274,7 +246,6 @@ impl Machine {
             perm_arrivals: HashMap::new(),
             scratch: PhaseScratch::default(),
             touched: Vec::new(),
-            tick_pool: None,
             events_done: 0,
             stats: Stats::new(),
             cfg,
@@ -489,8 +460,7 @@ impl Machine {
             stalls,
             handle_reqs,
             out_buf,
-            tick_batch,
-            tick_done,
+            completions,
         } = &mut scratch;
         let mut overflows: u64 = 0;
         let mut next_dram_id: u64 = 0;
@@ -502,10 +472,6 @@ impl Machine {
             }
         }
 
-        // VaultTick events currently in the queue; when every queued
-        // event is a tick, the phase has entered its tail drain.
-        let mut tick_events: usize = 0;
-
         // The borrow checker forbids neat closures over `self` here; the
         // loop body is written out imperatively instead.
         macro_rules! sched_vault {
@@ -514,7 +480,6 @@ impl Machine {
                 if let Some(t) = self.vaults[v].next_event_time() {
                     if $vt[v].is_none_or(|cur| t < cur) {
                         $vt[v] = Some(t);
-                        tick_events += 1;
                         $q.schedule(t, Ev::VaultTick($v as u32));
                     }
                 }
@@ -577,24 +542,6 @@ impl Machine {
                 #[cfg(debug_assertions)]
                 self.assert_armed(vault_tick);
             }
-            // Parallel tail drain: once every core has finished, no core
-            // request is waiting on a response, and every in-flight DRAM
-            // op is fire-and-forget, the vaults can no longer interact —
-            // remaining traffic never crosses the mesh again. Each
-            // remaining command queue evolves independently, so with
-            // `sim_threads > 1` they drain on worker threads and merge
-            // deterministically by taking the latest per-vault finish
-            // (stats stay inside each controller, exported by global
-            // vault id as always). Byte-identical to the serial drain.
-            if self.cfg.sim_threads > 1
-                && handle_reqs.is_empty()
-                && queue.len() == tick_events
-                && cores.iter().all(|c| c.as_ref().is_none_or(Core::finished))
-                && vault_ops.all_fire()
-            {
-                end = end.max(self.parallel_tail_drain());
-                break;
-            }
             let Some((t, ev)) = queue.pop() else {
                 break;
             };
@@ -606,9 +553,7 @@ impl Machine {
                 events += 1;
                 self.events_done += 1;
                 // Cooperative checkpoints, measured against the cumulative
-                // non-tick event count: `VaultTick` events never count, so
-                // the trip point is the same simulated instant for every
-                // `sim_threads` value.
+                // non-tick event count, the same clock as `engine.events`.
                 crate::faultpoint!(self.cfg.fault, fault::Site::Event(self.events_done));
                 if let Some(budget) = self.cfg.event_budget {
                     if self.events_done > budget {
@@ -622,92 +567,36 @@ impl Machine {
             match ev {
                 Ev::Advance(i) => advance_core!(i),
                 Ev::VaultTick(v) => {
-                    tick_events -= 1;
                     vault_tick[v as usize] = None;
-                    // Collect the *contiguous* run of simultaneous ticks at
-                    // the head of the queue, one per distinct vault. A tick
-                    // for a vault already in the batch (a stale reschedule)
-                    // or any interleaved non-tick event ends the batch —
-                    // exactly where the serial loop's state could still
-                    // change between polls. A tick mutates only its own
-                    // vault, so the batch polls in parallel; continuations
-                    // then merge below in pop order, reproducing the serial
-                    // event stream — seq numbers included — bit for bit.
-                    tick_batch.clear();
-                    tick_batch.push((v, t));
-                    if self.cfg.sim_threads > 1 {
-                        while tick_batch.len() < self.vaults.len() {
-                            let next = queue.pop_if(|t2, ev| {
-                                t2 == t
-                                    && matches!(ev, Ev::VaultTick(w)
-                                        if tick_batch.iter().all(|&(b, _)| b != *w))
-                            });
-                            let Some((_, Ev::VaultTick(w))) = next else { break };
-                            guard += 1;
-                            tick_events -= 1;
-                            vault_tick[w as usize] = None;
-                            tick_batch.push((w, t));
-                        }
+                    if fault::vault_poll_boom(self.cfg.fault.as_deref()) {
+                        panic!("injected vault-poll fault");
                     }
-                    // One injection decision per batch, taken before the
-                    // serial/pooled split so the failure is identical for
-                    // every `sim_threads` value.
-                    let boom = fault::vault_poll_boom(self.cfg.fault.as_deref());
-                    if self.cfg.sim_threads > 1 && tick_batch.len() >= MIN_PARALLEL_TICKS {
-                        let pool = self
-                            .tick_pool
-                            .take()
-                            .unwrap_or_else(|| TickPool::new(self.cfg.sim_threads));
-                        let polled = pool.poll_batch(&mut self.vaults, tick_batch, tick_done, boom);
-                        self.tick_pool = Some(pool);
-                        if let Err(msg) = polled {
-                            // The pool survives (the batch drained), but
-                            // this run's state is torn: unwind with the
-                            // worker's own panic message.
-                            Abort::throw(AbortReason::WorkerPanic, msg);
-                        }
-                    } else {
-                        if boom {
-                            panic!("injected vault-poll fault");
-                        }
-                        for (k, &(w, tw)) in tick_batch.iter().enumerate() {
-                            self.vaults[w as usize].poll_into(tw, &mut tick_done[k]);
-                        }
-                    }
-                    // Deterministic merge: batch (pop) order, then each
-                    // vault's completion order — a stable
-                    // `(time, vault tick seq, dram completion)` ordering
-                    // identical to the serial loop's.
-                    for (k, &(w, _)) in tick_batch.iter().enumerate() {
-                        for c in &tick_done[k] {
-                            let op = vault_ops.remove(c.id).expect("continuation registered");
-                            match op {
-                                VaultOp::Fire => {}
-                                VaultOp::StreamFill { pending: p } => {
-                                    let done_at = c.finish + PS_PER_NS;
-                                    queue.schedule(
-                                        done_at,
-                                        Ev::MemDone { pending: p, done: done_at },
-                                    );
-                                }
-                                VaultOp::L1Fill { core, line } => {
-                                    let back = self.route_from_vault(
-                                        w,
-                                        self.endpoint(core),
-                                        self.l1s[core].config().line_bytes,
-                                        c.finish,
-                                    );
-                                    queue.schedule(back, Ev::L1FillDone { core, line });
-                                }
-                                VaultOp::LlcFill { line } => {
-                                    let bytes = self.cfg.llc.line_bytes;
-                                    let back = self.route_from_vault(w, Ep::Cpu, bytes, c.finish);
-                                    queue.schedule(back, Ev::LlcFillDone { line });
-                                }
+                    self.vaults[v as usize].poll_into(t, completions);
+                    for c in completions.iter() {
+                        let op = vault_ops.remove(c.id).expect("continuation registered");
+                        match op {
+                            VaultOp::Fire => {}
+                            VaultOp::StreamFill { pending: p } => {
+                                let done_at = c.finish + PS_PER_NS;
+                                queue.schedule(done_at, Ev::MemDone { pending: p, done: done_at });
+                            }
+                            VaultOp::L1Fill { core, line } => {
+                                let back = self.route_from_vault(
+                                    v,
+                                    self.endpoint(core),
+                                    self.l1s[core].config().line_bytes,
+                                    c.finish,
+                                );
+                                queue.schedule(back, Ev::L1FillDone { core, line });
+                            }
+                            VaultOp::LlcFill { line } => {
+                                let bytes = self.cfg.llc.line_bytes;
+                                let back = self.route_from_vault(v, Ep::Cpu, bytes, c.finish);
+                                queue.schedule(back, Ev::LlcFillDone { line });
                             }
                         }
-                        sched_vault!(queue, vault_tick, w);
                     }
+                    sched_vault!(queue, vault_tick, v);
                 }
                 Ev::MemDone { pending: p, done } => {
                     let core_id = pending[p].core;
@@ -808,44 +697,6 @@ impl Machine {
                 );
             }
         }
-    }
-
-    /// Drains every busy vault to completion on up to `sim_threads`
-    /// worker threads and returns the latest completion time across all
-    /// of them. Only sound in the phase tail, when no completion needs a
-    /// continuation (see the caller's guard): each vault touches only its
-    /// own state, so the merged result does not depend on thread
-    /// scheduling.
-    fn parallel_tail_drain(&mut self) -> Time {
-        let mut busy: Vec<&mut VaultController> =
-            self.vaults.iter_mut().filter(|v| v.busy()).collect();
-        if busy.is_empty() {
-            return 0;
-        }
-        let chunk = busy.len().div_ceil(self.cfg.sim_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = busy
-                .chunks_mut(chunk)
-                .map(|vaults| {
-                    scope.spawn(move || {
-                        let mut last: Time = 0;
-                        for v in vaults.iter_mut() {
-                            let mut now: Time = 0;
-                            while let Some(t) = v.next_event_time() {
-                                now = now.max(t);
-                                v.poll(now);
-                            }
-                            last = last.max(now);
-                        }
-                        last
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("vault drain thread panicked"))
-                .fold(0, Time::max)
-        })
     }
 
     /// Issues one core memory request into caches/network/vaults.
@@ -1227,10 +1078,7 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use mondrian_cores::{MicroOp, VecKernel};
-    use proptest::prelude::*;
 
     use super::*;
     use crate::config::SystemKind;
@@ -1257,9 +1105,7 @@ mod tests {
         // id 1 overflowed: consumed, never registered.
         table.insert(2, VaultOp::LlcFill { line: 64 });
         assert_eq!(table.remove(1), None);
-        assert!(!table.all_fire());
         assert_eq!(table.remove(2), Some(VaultOp::LlcFill { line: 64 }));
-        assert!(table.all_fire());
         assert_eq!(table.remove(2), None, "a continuation runs once");
         assert_eq!(table.remove(0), Some(VaultOp::Fire));
     }
@@ -1294,40 +1140,5 @@ mod tests {
         machine.vaults[0].enqueue(stray, 0).expect("reads cannot overflow");
         let kernels = one_kernel(&machine, 0, vec![MicroOp::load(base + 4096, 8)]);
         let _ = machine.run_phase(kernels, "stray");
-    }
-
-    proptest! {
-        /// The live non-`Fire` count reaches zero exactly when a map of
-        /// the same live continuations holds nothing but `Fire`.
-        #[test]
-        fn all_fire_tracks_the_live_set(steps in prop::collection::vec((0u32..4, 0usize..64), 1..200)) {
-            let mut table = Continuations::default();
-            let mut model: HashMap<u64, VaultOp> = HashMap::new();
-            let mut next_id = 0u64;
-            for (action, pick) in steps {
-                match action {
-                    0 | 1 => {
-                        let op = if action == 0 {
-                            VaultOp::Fire
-                        } else {
-                            VaultOp::L1Fill { core: pick, line: next_id * 64 }
-                        };
-                        table.insert(next_id, op);
-                        model.insert(next_id, op);
-                        next_id += 1;
-                    }
-                    // An overflowed permutable write: an id, no entry.
-                    2 => next_id += 1,
-                    _ => {
-                        let id = if next_id == 0 { 0 } else { pick as u64 % next_id };
-                        prop_assert_eq!(table.remove(id), model.remove(&id));
-                    }
-                }
-                prop_assert_eq!(
-                    table.all_fire(),
-                    model.values().all(|op| matches!(op, VaultOp::Fire))
-                );
-            }
-        }
     }
 }

@@ -157,10 +157,6 @@ impl SchedQueue {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     fn len(&self) -> usize {
         self.queue.len()
     }
@@ -557,11 +553,6 @@ impl VaultController {
         next
     }
 
-    /// Whether requests are queued or in flight.
-    pub fn busy(&self) -> bool {
-        !self.reads.is_empty() || !self.writes.is_empty() || !self.completions.is_empty()
-    }
-
     /// Event counters.
     pub fn stats(&self) -> &VaultStats {
         &self.stats
@@ -814,7 +805,6 @@ mod tests {
         let done = drain(&mut v);
         assert_eq!(done.len(), 1);
         assert_eq!(v.next_event_time(), None);
-        assert!(!v.busy());
     }
 
     #[test]

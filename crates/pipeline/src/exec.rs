@@ -216,7 +216,7 @@ impl Pipeline {
         // Non-tick events consumed by completed stages: the run-wide
         // `max_events` budget is metered here, at stage boundaries, and
         // the in-flight stage's remainder is enforced inside its own
-        // event loop — both counts are `sim_threads`-invariant.
+        // event loop — both count the same non-tick events.
         let mut events_used: u64 = 0;
         for (i, stage) in self.stages.iter().enumerate() {
             check_deadline(cfg);
@@ -428,30 +428,26 @@ impl Pipeline {
             // simulation of each branch is self-contained and
             // deterministic, so the merged result is byte-identical to
             // the in-order execution regardless of thread scheduling.
-            let run_branch = |slot: usize, b: usize, sim_threads: usize| -> Vec<StageRun> {
+            let run_branch = |slot: usize, b: usize| -> Vec<StageRun> {
                 dag.branches[b]
                     .iter()
                     .map(|&i| {
                         let stage = &self.stages[i];
                         let inputs = resolve_inputs(stage, i, source, outputs);
                         let build = resolve_build(&stage.spec, outputs);
-                        let mut sys = base.restrict(leases[slot]);
-                        sys.sim_threads = sim_threads;
+                        let sys = base.restrict(leases[slot]);
                         run_stage_engine(cfg, sys, stage, inputs, build, None)
                     })
                     .collect()
             };
             let branch_runs: Vec<Vec<StageRun>> = if cfg.threads > 1 {
                 // Branch-level threads spend the whole per-run budget:
-                // their machines drain serially (sim_threads = 1) and at
-                // most `cfg.threads` branches run at once, so the run's
-                // OS-thread total is bounded by `cfg.threads` instead of
-                // multiplying wave width by drain threads. Slots are
-                // handed out through a work-stealing queue — the old
-                // chunked barrier stalled a whole chunk on its slowest
-                // branch — and the merge assembles by slot position, so
-                // the nondeterministic steal order never reaches the
-                // report.
+                // each branch simulates on one thread and at most
+                // `cfg.threads` branches run at once. Slots are handed out
+                // through a work-stealing queue — the old chunked barrier
+                // stalled a whole chunk on its slowest branch — and the
+                // merge assembles by slot position, so the nondeterministic
+                // steal order never reaches the report.
                 let workers = cfg.threads.min(wave_branches.len());
                 let queue = mondrian_sim::StealQueue::seed(0..wave_branches.len(), workers);
                 let mut runs: Vec<Option<Vec<StageRun>>> =
@@ -464,7 +460,7 @@ impl Pipeline {
                         let run_branch = &run_branch;
                         scope.spawn(move || {
                             while let Some(slot) = queue.pop(w) {
-                                let out = run_branch(slot, wave_branches[slot], 1);
+                                let out = run_branch(slot, wave_branches[slot]);
                                 slots.lock().expect("branch worker panicked")[slot] = Some(out);
                             }
                         });
@@ -472,9 +468,7 @@ impl Pipeline {
                 });
                 runs.into_iter().map(|r| r.expect("every slot executed")).collect()
             } else {
-                (0..wave_branches.len())
-                    .map(|slot| run_branch(slot, wave_branches[slot], 1))
-                    .collect()
+                (0..wave_branches.len()).map(|slot| run_branch(slot, wave_branches[slot])).collect()
             };
             let mut branch_runs = branch_runs;
             for (slot, &b) in wave_branches.iter().enumerate() {
@@ -817,9 +811,7 @@ impl Pipeline {
                         .iter()
                         .position(|b| b.branch == dag.branch_of[consumer])
                         .expect("consumer's branch is in its wave");
-                    let mut sys = base.restrict(leases[slot]);
-                    sys.sim_threads = 1;
-                    sys
+                    base.restrict(leases[slot])
                 }
                 None => cfg.system_config(),
             };
@@ -1577,23 +1569,16 @@ pub struct PipelineConfig {
     /// How to schedule the stages onto the machine.
     pub concurrency: Concurrency,
     /// OS threads the executor may use *within* this run: branch waves
-    /// execute their leased branches on real threads, each stage's pure
-    /// reference executor overlaps with its engine simulation, and the
-    /// machine drains independent vault command queues in parallel.
-    /// Purely an execution-speed knob — results are byte-identical for
-    /// every value (1 = fully in-order execution).
+    /// execute their leased branches on real threads, and each stage's
+    /// pure reference executor overlaps with its engine simulation. Each
+    /// machine's event loop stays on one thread. Purely an
+    /// execution-speed knob — results are byte-identical for every value
+    /// (1 = fully in-order execution).
     pub threads: usize,
-    /// Host threads for the *engine event loop itself*: batches of
-    /// simultaneous vault ticks poll in parallel and the phase tail
-    /// drains as a parallel sweep. `0` (the default) follows
-    /// [`PipelineConfig::threads`]; any other value pins the engine
-    /// thread count independently of the executor's. Execution-speed
-    /// only — artifacts are byte-identical for every value.
-    pub sim_threads: usize,
     /// Cooperative non-tick event budget for the whole run, metered over
     /// the serial reference pass (stage boundaries plus the in-flight
     /// stage's own event loop). Exceeding it unwinds with a structured
-    /// `limit_events` abort at a `sim_threads`-invariant point. Branch
+    /// `limit_events` abort at a `threads`-invariant point. Branch
     /// and stream re-executions are alternative timing models of work
     /// the serial pass already paid for, so they are not re-budgeted.
     pub max_events: Option<u64>,
@@ -1620,7 +1605,6 @@ impl PipelineConfig {
             underprovision: None,
             concurrency: Concurrency::Serial,
             threads: 1,
-            sim_threads: 0,
             max_events: None,
             deadline: None,
             fault: None,
@@ -1641,7 +1625,6 @@ impl PipelineConfig {
         };
         cfg.tuples_per_vault = self.tuples_per_vault;
         cfg.seed = self.seed;
-        cfg.sim_threads = if self.sim_threads > 0 { self.sim_threads } else { self.threads }.max(1);
         cfg.fault = self.fault.clone();
         cfg
     }
