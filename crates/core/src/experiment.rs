@@ -27,8 +27,8 @@ use mondrian_ops::join::{
 };
 use mondrian_ops::operator::{operator, OpInvocation, OpSpec};
 use mondrian_ops::partition::{
-    exclusive_prefix, histogram_into, scatter_addresses, HistogramKernel, PermutableScatterKernel,
-    ScatterKernel, SimdHistogramKernel, SimdPermutableScatterKernel, SimdScatterKernel,
+    exclusive_prefix, scatter_addresses, HistogramKernel, PermutableScatterKernel, ScatterKernel,
+    SimdHistogramKernel, SimdPermutableScatterKernel, SimdScatterKernel,
 };
 use mondrian_ops::scan::{scan_filter, ScalarScanKernel, ScanPredicate, SimdScanKernel};
 use mondrian_ops::sort::{
@@ -535,8 +535,7 @@ impl Experiment {
     /// Base address of global destination slot `slot` in `region` (CPU
     /// buckets span the region across all vaults).
     fn global_out_addr(&self, region: Region, slot: u64) -> u64 {
-        let per = self.layout.region_tuples() as u64;
-        self.layout.tuple_addr((slot / per) as u32, region, (slot % per) as usize)
+        global_slot_addr(&self.layout, region, slot)
     }
 
     // ----- phase builders ------------------------------------------------
@@ -588,66 +587,14 @@ impl Experiment {
         cursor_slot: usize,
         stream: Option<&StreamDest>,
     ) -> (KernelSet, Vec<Vec<Tuple>>) {
-        let parts = scheme.parts() as usize;
-        // Per-source bucket counts; sources ordered by vault index (units
-        // process their vaults in order).
-        let per_source: Vec<Vec<u64>> = input
-            .iter()
-            .map(|d| {
-                let mut counts = Vec::with_capacity(parts);
-                histogram_into(d, scheme, &mut counts);
-                counts
-            })
-            .collect();
-        let mut totals = vec![0u64; parts];
-        for counts in &per_source {
-            for (t, c) in totals.iter_mut().zip(counts) {
-                *t += c;
-            }
-        }
-        // Destination start slots.
-        let starts: Vec<u64> = if self.cfg.kind.is_nmp() {
-            // One partition per vault, each at the base of its out region.
-            (0..parts as u64).map(|p| p * self.layout.region_tuples() as u64).collect()
-        } else if let Some(stream) = stream {
-            // Global bucket space provisioned from the whole stream's
-            // totals, not this chunk's.
-            stream.starts.clone()
-        } else {
-            // Global bucket space across the out regions of all vaults.
-            exclusive_prefix(&totals)
-        };
-        // Walk sources in vault order, advancing per-destination slots
-        // (streamed chunks continue where the previous chunk stopped).
-        // The cursor array is one reused scratch buffer across all
-        // sources, not a fresh allocation per vault.
-        let mut next_in_dest: Vec<u64> =
-            stream.map_or_else(|| vec![0; parts], |s| s.appended.clone());
-        let mut dest_content: Vec<Vec<Tuple>> =
-            totals.iter().map(|&t| Vec::with_capacity(t as usize)).collect();
-        let mut source_addrs: Vec<Vec<u64>> = Vec::with_capacity(input.len());
-        let mut cursors: Vec<u64> = Vec::with_capacity(parts);
-        for (v, data) in input.iter().enumerate() {
-            cursors.clear();
-            cursors.extend((0..parts).map(|p| {
-                if self.cfg.kind.is_nmp() {
-                    self.layout.tuple_addr(p as u32, out_region, next_in_dest[p] as usize)
-                } else {
-                    self.global_out_addr(out_region, starts[p] + next_in_dest[p])
-                }
-            }));
-            let addrs = scatter_addresses(data, scheme, &mut cursors);
-            source_addrs.push(addrs);
-            for (p, c) in next_in_dest.iter_mut().zip(&per_source[v]) {
-                *p += c;
-            }
-            for t in data.iter() {
-                dest_content[scheme.bucket(t.key) as usize].push(*t);
-            }
-            // dest_content built in source order == cursor order because
-            // sources run their tuples sequentially and cursor ranges are
-            // disjoint per source.
-        }
+        let (mut source_addrs, dest_content) = scatter_targets(
+            &self.layout,
+            self.cfg.kind.is_nmp(),
+            input,
+            out_region,
+            scheme,
+            stream,
+        );
         let store_kind =
             if self.cfg.kind.is_nmp() { StoreKind::Streaming } else { StoreKind::Cached };
         let simd = self.cfg.kind.is_mondrian();
@@ -659,7 +606,7 @@ impl Experiment {
                     .map(|v| {
                         let base = self.layout.region_base(v as u32, in_region);
                         let data = input[v].clone();
-                        let addrs = source_addrs[v].clone();
+                        let addrs = std::mem::take(&mut source_addrs[v]);
                         if simd {
                             Box::new(SimdScatterKernel::new(data, base, cursor_base, addrs, scheme))
                                 as Box<dyn Kernel>
@@ -724,14 +671,7 @@ impl Experiment {
         stream: Option<(&StreamDest, usize)>,
     ) -> Vec<Vec<Tuple>> {
         let parts = scheme.parts() as usize;
-        let mut inbound = vec![0u64; parts];
-        let mut counts = Vec::with_capacity(parts);
-        for data in input {
-            histogram_into(data, scheme, &mut counts);
-            for (i, &c) in counts.iter().enumerate() {
-                inbound[i] += c;
-            }
-        }
+        let inbound = bucket_totals(input, scheme);
         let mut factor = self.underprovision.unwrap_or(1.0);
         loop {
             let row = self.cfg.vault.row_bytes as u64;
@@ -835,16 +775,10 @@ impl Experiment {
         // stream (the bounded channel sits on the input side): CPU
         // bucket starts come from the full stream's totals, and every
         // chunk appends after the tuples earlier chunks delivered.
-        let mut totals = vec![0u64; parts_n];
-        let mut counts = Vec::with_capacity(parts_n);
-        for chunk in chunks {
-            histogram_into(chunk, scheme, &mut counts);
-            for (t, &c) in totals.iter_mut().zip(&counts) {
-                *t += c;
-            }
-        }
-        let mut dest =
-            StreamDest { starts: exclusive_prefix(&totals), appended: vec![0u64; parts_n] };
+        let mut dest = StreamDest {
+            starts: exclusive_prefix(&bucket_totals(chunks, scheme)),
+            appended: vec![0u64; parts_n],
+        };
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); parts_n];
         for (k, chunk) in chunks.iter().enumerate() {
             let t0 = self.machine.now();
@@ -1854,6 +1788,108 @@ fn fuse_kernel_sets(a: KernelSet, b: KernelSet) -> KernelSet {
         .collect()
 }
 
+/// Tuples per destination bucket across `rels`, in one pass over the
+/// tuples.
+fn bucket_totals(rels: &[Data], scheme: PartitionScheme) -> Vec<u64> {
+    let mut totals = vec![0u64; scheme.parts() as usize];
+    for t in rels.iter().flat_map(|r| r.iter()) {
+        totals[scheme.bucket(t.key) as usize] += 1;
+    }
+    totals
+}
+
+/// Base address of global destination slot `slot` in `region`: CPU
+/// buckets span the region across all vaults, in vault order.
+fn global_slot_addr(layout: &Layout, region: Region, slot: u64) -> u64 {
+    let per = layout.region_tuples() as u64;
+    layout.tuple_addr((slot / per) as u32, region, (slot % per) as usize)
+}
+
+/// Per-source scatter addresses and per-destination contents.
+type ScatterTargets = (Vec<Vec<u64>>, Vec<Vec<Tuple>>);
+
+/// The functional half of a conventional scatter: each source's
+/// per-tuple destination byte addresses (sources in vault order, which
+/// is the order units process their vaults) and each destination's
+/// contents in cursor order. One pass over the tuples plus O(buckets)
+/// set-up: a source opens its cursor for bucket `p` at its first tuple
+/// for `p`, at the destination's fill level then, and advances it one
+/// tuple per write — the addresses a cursor array opened for every
+/// bucket at source start would give, without touching the buckets the
+/// source never writes. NMP destinations are per-vault regions
+/// (partition `p` = vault `p`); CPU buckets are global slot ranges
+/// starting at the exclusive prefix of the bucket totals (of the whole
+/// stream, for a streamed chunk).
+///
+/// # Panics
+///
+/// Panics with the layout's `region overflow` assert when an NMP
+/// destination is filled past its region at a source start — where the
+/// per-source cursor array re-opened every destination, whether or not
+/// that source writes to it.
+fn scatter_targets(
+    layout: &Layout,
+    nmp: bool,
+    input: &[Data],
+    out_region: Region,
+    scheme: PartitionScheme,
+    stream: Option<&StreamDest>,
+) -> ScatterTargets {
+    let parts = scheme.parts() as usize;
+    let totals = bucket_totals(input, scheme);
+    let own_starts;
+    let starts: &[u64] = match stream {
+        Some(s) => &s.starts,
+        None => {
+            own_starts = exclusive_prefix(&totals);
+            &own_starts
+        }
+    };
+    let cursor_at = |p: usize, fill: u64| {
+        if nmp {
+            layout.tuple_addr(p as u32, out_region, fill as usize)
+        } else {
+            global_slot_addr(layout, out_region, starts[p] + fill)
+        }
+    };
+    // Destination fill levels: streamed chunks continue where the
+    // previous chunk stopped.
+    let mut next_in_dest: Vec<u64> = stream.map_or_else(|| vec![0; parts], |s| s.appended.clone());
+    let capacity = if nmp { layout.region_tuples() as u64 } else { u64::MAX };
+    let mut overfull = next_in_dest.iter().position(|&n| n > capacity);
+    let mut dest_content: Vec<Vec<Tuple>> =
+        totals.iter().map(|&t| Vec::with_capacity(t as usize)).collect();
+    let mut cursors = vec![0u64; parts];
+    let mut opened_by = vec![usize::MAX; parts];
+    let mut source_addrs: Vec<Vec<u64>> = Vec::with_capacity(input.len());
+    for (v, data) in input.iter().enumerate() {
+        if let Some(p) = overfull {
+            // Trips the region-overflow assert.
+            cursor_at(p, next_in_dest[p]);
+        }
+        let addrs = data
+            .iter()
+            .map(|t| {
+                let p = scheme.bucket(t.key) as usize;
+                if opened_by[p] != v {
+                    opened_by[p] = v;
+                    cursors[p] = cursor_at(p, next_in_dest[p]);
+                }
+                let addr = cursors[p];
+                cursors[p] += TUPLE_BYTES as u64;
+                next_in_dest[p] += 1;
+                if next_in_dest[p] > capacity && overfull.is_none_or(|o| p < o) {
+                    overfull = Some(p);
+                }
+                dest_content[p].push(*t);
+                addr
+            })
+            .collect();
+        source_addrs.push(addrs);
+    }
+    (source_addrs, dest_content)
+}
+
 /// Hash-table bits for roughly 2× occupancy over `entries` (group tables).
 fn table_bits(entries: usize) -> u32 {
     (entries.max(2) * 2).next_power_of_two().trailing_zeros()
@@ -1940,6 +1976,213 @@ mod tests {
         let rel: Vec<Tuple> = (0..64).map(|i| Tuple::new(i, i)).collect();
         let chunks: Vec<Arc<[Tuple]>> = rel.chunks(16).map(Arc::from).collect();
         let _ = ExperimentBuilder::new(OperatorKind::Scan).tiny().streamed_input(chunks).run();
+    }
+
+    /// The per-source cursor-array scatter [`scatter_targets`] replaced:
+    /// per-source histograms, and every source opening a cursor for
+    /// every destination at its start — O(vaults × buckets) set-up. Kept
+    /// as the address oracle.
+    fn scatter_targets_oracle(
+        layout: &Layout,
+        nmp: bool,
+        input: &[Data],
+        out_region: Region,
+        scheme: PartitionScheme,
+        stream: Option<&StreamDest>,
+    ) -> ScatterTargets {
+        let parts = scheme.parts() as usize;
+        let per_source: Vec<Vec<u64>> = input
+            .iter()
+            .map(|d| {
+                let mut counts = Vec::with_capacity(parts);
+                mondrian_ops::partition::histogram_into(d, scheme, &mut counts);
+                counts
+            })
+            .collect();
+        let mut totals = vec![0u64; parts];
+        for counts in &per_source {
+            for (t, c) in totals.iter_mut().zip(counts) {
+                *t += c;
+            }
+        }
+        let starts: Vec<u64> = if nmp {
+            (0..parts as u64).map(|p| p * layout.region_tuples() as u64).collect()
+        } else if let Some(stream) = stream {
+            stream.starts.clone()
+        } else {
+            exclusive_prefix(&totals)
+        };
+        let mut next_in_dest: Vec<u64> =
+            stream.map_or_else(|| vec![0; parts], |s| s.appended.clone());
+        let mut dest_content: Vec<Vec<Tuple>> =
+            totals.iter().map(|&t| Vec::with_capacity(t as usize)).collect();
+        let mut source_addrs: Vec<Vec<u64>> = Vec::with_capacity(input.len());
+        for (v, data) in input.iter().enumerate() {
+            let mut cursors: Vec<u64> = (0..parts)
+                .map(|p| {
+                    if nmp {
+                        layout.tuple_addr(p as u32, out_region, next_in_dest[p] as usize)
+                    } else {
+                        global_slot_addr(layout, out_region, starts[p] + next_in_dest[p])
+                    }
+                })
+                .collect();
+            source_addrs.push(scatter_addresses(data, scheme, &mut cursors));
+            for (p, c) in next_in_dest.iter_mut().zip(&per_source[v]) {
+                *p += c;
+            }
+            for t in data.iter() {
+                dest_content[scheme.bucket(t.key) as usize].push(*t);
+            }
+        }
+        (source_addrs, dest_content)
+    }
+
+    type ScatterBuilder =
+        fn(&Layout, bool, &[Data], Region, PartitionScheme, Option<&StreamDest>) -> ScatterTargets;
+
+    /// Splits `rel` over `vaults` sources the way the experiment does.
+    fn to_sources(rel: &[Tuple], vaults: usize) -> Vec<Data> {
+        let per = rel.len().div_ceil(vaults).max(1);
+        let mut out: Vec<Data> = rel.chunks(per).map(Arc::from).collect();
+        out.resize_with(vaults, || Vec::new().into());
+        out
+    }
+
+    /// Every scatter call of one shuffle — materialized (`chunks = None`)
+    /// or streamed through `chunks` arrival chunks with a [`StreamDest`]
+    /// provisioned from the whole stream — or the panic message of the
+    /// first call that panicked.
+    fn scatter_calls(
+        build: ScatterBuilder,
+        layout: &Layout,
+        nmp: bool,
+        rel: &[Tuple],
+        vaults: usize,
+        scheme: PartitionScheme,
+        chunks: Option<usize>,
+    ) -> Result<Vec<ScatterTargets>, String> {
+        std::panic::catch_unwind(|| {
+            let Some(k) = chunks else {
+                return vec![build(
+                    layout,
+                    nmp,
+                    &to_sources(rel, vaults),
+                    Region::OutA,
+                    scheme,
+                    None,
+                )];
+            };
+            let pieces: Vec<Data> =
+                rel.chunks(rel.len().div_ceil(k).max(1)).map(Arc::from).collect();
+            let mut dest = StreamDest {
+                starts: exclusive_prefix(&bucket_totals(&pieces, scheme)),
+                appended: vec![0; scheme.parts() as usize],
+            };
+            pieces
+                .iter()
+                .map(|piece| {
+                    let call = build(
+                        layout,
+                        nmp,
+                        &to_sources(piece, vaults),
+                        Region::OutA,
+                        scheme,
+                        Some(&dest),
+                    );
+                    for (appended, d) in dest.appended.iter_mut().zip(&call.1) {
+                        *appended += d.len() as u64;
+                    }
+                    call
+                })
+                .collect()
+        })
+        .map_err(|payload| {
+            payload.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string panic".into())
+        })
+    }
+
+    /// The O(tuples + buckets) scatter builder yields exactly the
+    /// per-source addresses and destination contents of the per-source
+    /// cursor array — and panics exactly where it panicked — over random
+    /// relations, radix and range schemes, CPU bucket spaces of 2^8 and
+    /// 2^16 and NMP per-vault destinations, materialized and streamed.
+    #[test]
+    fn scatter_targets_match_the_per_source_cursor_oracle() {
+        let mut rng = proptest::TestRng::deterministic("scatter_targets");
+        let (mut crossings, mut nmp_overflows, mut nmp_ok, mut streamed) = (0, 0, 0, 0);
+        for _ in 0..proptest::CASES {
+            // 64- or 1024-tuple regions: small ones make CPU buckets
+            // straddle vault-region boundaries and NMP destinations
+            // overflow.
+            let region_tuples = [64u64, 1024][rng.below(0, 2) as usize];
+            let layout = Layout::new(region_tuples * TUPLE_BYTES as u64 * 8);
+            let vaults = [4usize, 16][rng.below(0, 2) as usize];
+            let nmp = rng.below(0, 2) == 0;
+            let bits =
+                if nmp { vaults.trailing_zeros() } else { [8, 16][rng.below(0, 2) as usize] };
+            let key_bound = [3u64, 64, 1 << 20][rng.below(0, 3) as usize];
+            let mut rel: Vec<Tuple> =
+                (0..rng.below(0, 600)).map(|i| Tuple::new(rng.below(0, key_bound), i)).collect();
+            let scheme = if rng.below(0, 2) == 0 {
+                PartitionScheme::LowBits { bits }
+            } else {
+                let key_bound = rel.iter().map(|t| t.key + 1).max().unwrap_or(1);
+                PartitionScheme::Range { parts: 1 << bits, key_bound }
+            };
+            if rng.below(0, 2) == 0 {
+                // Clustered by destination: later sources write none of
+                // the buckets earlier sources filled.
+                rel.sort_by_key(|t| scheme.bucket(t.key));
+            }
+            let chunks = (rng.below(0, 2) == 0).then(|| rng.below(1, 6) as usize);
+            let new = scatter_calls(scatter_targets, &layout, nmp, &rel, vaults, scheme, chunks);
+            let old =
+                scatter_calls(scatter_targets_oracle, &layout, nmp, &rel, vaults, scheme, chunks);
+            assert_eq!(new, old, "nmp={nmp} vaults={vaults} {scheme:?} chunks={chunks:?}");
+
+            streamed += usize::from(chunks.is_some() && new.is_ok());
+            if nmp {
+                match &new {
+                    Ok(_) => nmp_ok += 1,
+                    Err(msg) => {
+                        assert!(msg.starts_with("region overflow"), "{msg}");
+                        nmp_overflows += 1;
+                    }
+                }
+            } else {
+                let totals = bucket_totals(&[Arc::from(rel.as_slice())], scheme);
+                let region = |slot: u64| slot / region_tuples;
+                crossings += exclusive_prefix(&totals)
+                    .iter()
+                    .zip(&totals)
+                    .filter(|&(&start, &n)| n > 0 && region(start) != region(start + n - 1))
+                    .count();
+            }
+        }
+        assert!(crossings > 0, "some CPU bucket straddles a vault-region boundary");
+        assert!(nmp_overflows > 0 && nmp_ok > 0, "{nmp_overflows} NMP overflows, {nmp_ok} fits");
+        assert!(streamed > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "region overflow: tuple 100")]
+    fn overfull_nmp_destination_panics() {
+        // Sources 0 and 1 fill destination 0 with 100 tuples, past its
+        // 64-tuple region; sources 2 and 3 write only destination 1. The
+        // overflow still fires at source 2's start, as it did when every
+        // source opened a cursor for every destination.
+        let layout = Layout::new(64 * TUPLE_BYTES as u64 * 8);
+        let rel: Vec<Tuple> =
+            (0..200).map(|i| Tuple::new(4 * i + u64::from(i >= 100), i)).collect();
+        let _ = scatter_targets(
+            &layout,
+            true,
+            &to_sources(&rel, 4),
+            Region::OutA,
+            PartitionScheme::LowBits { bits: 2 },
+            None,
+        );
     }
 
     #[test]

@@ -94,7 +94,11 @@ pub struct FaultPlan {
     /// Panic inside a vault poll.
     pub panic_in_vault_poll: bool,
     /// How many times the fault fires before disarming (`None` = every
-    /// time). `Some(1)` exercises the campaign's bounded retry.
+    /// time). `Some(1)` exercises the campaign's bounded retry. Fires
+    /// count only in simulations that actually execute: a stage
+    /// execution the pipeline scheduler serves from its per-run memo
+    /// (the `auto` race's shared runs) simulates nothing, so it does not
+    /// fire the fault again.
     pub times: Option<u64>,
 }
 

@@ -30,7 +30,9 @@
 //!   fused edge. The executor races the default stream schedule against
 //!   the planned one and charges whichever measured faster, so
 //!   `auto ≤ min(serial, branch, stream)` holds by construction and a
-//!   wrong prediction can never regress a run.
+//!   wrong prediction can never regress a run. The candidates share one
+//!   per-run memo of stage executions ([`RunMemo`]), so the planned one
+//!   simulates only what its plan changes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,6 +203,30 @@ impl Pipeline {
         label: &str,
         sink: &dyn ProgressSink,
     ) -> PipelineReport {
+        let SerialPass { dag, source, serial, outputs } = self.serial_pass(cfg, cache, label, sink);
+        let obs = Observer { label, sink };
+        // Every scheduled re-execution of this run goes through one memo.
+        let memo = RunMemo::default();
+        match cfg.concurrency {
+            Concurrency::Serial => self.assemble_serial(cfg, &dag, source.len(), serial, outputs),
+            Concurrency::Branch => {
+                self.run_branches(cfg, &dag, &source, serial, outputs, obs, &memo)
+            }
+            Concurrency::Stream => self.run_stream(cfg, &dag, &source, serial, outputs, obs, &memo),
+            Concurrency::Auto => self.run_auto(cfg, &dag, &source, serial, outputs, obs, &memo),
+        }
+    }
+
+    /// The serial reference pass every schedule starts from: each stage
+    /// on the whole machine, in stage order, verified against its pure
+    /// reference executor.
+    fn serial_pass(
+        &self,
+        cfg: &PipelineConfig,
+        cache: &ExecCache,
+        label: &str,
+        sink: &dyn ProgressSink,
+    ) -> SerialPass {
         self.validate().expect("invalid pipeline");
         let dag = self.dag();
         let source: Rel = cfg.source_relation().into();
@@ -295,20 +321,7 @@ impl Pipeline {
             outputs.push(run.projected.clone());
             serial.push(run);
         }
-
-        let obs = Observer { label, sink };
-        match cfg.concurrency {
-            Concurrency::Serial => self.assemble_serial(cfg, &dag, source.len(), serial, outputs),
-            Concurrency::Branch => {
-                self.run_branches(cfg, &dag, source.len(), &source, serial, outputs, obs)
-            }
-            Concurrency::Stream => {
-                self.run_stream(cfg, &dag, source.len(), &source, serial, outputs, obs)
-            }
-            Concurrency::Auto => {
-                self.run_auto(cfg, &dag, source.len(), &source, serial, outputs, obs)
-            }
-        }
+        SerialPass { dag, source, serial, outputs }
     }
 
     /// Assembles the report of a serial run: every wave charges the sum of
@@ -387,6 +400,7 @@ impl Pipeline {
         matches: &mut [bool],
         obs: Observer<'_>,
         plan: Option<&Plan>,
+        memo: &RunMemo,
     ) -> Vec<WaveExec> {
         let base = cfg.system_config();
         let total_vaults = base.total_vaults();
@@ -423,7 +437,8 @@ impl Pipeline {
 
             // Execute every branch of the wave on its lease. Inputs come
             // from the verified serial outputs, so cross-branch edges from
-            // earlier waves resolve identically in both schedules. With
+            // earlier waves resolve identically in both schedules (and a
+            // stage already run on the same lease is a memo hit). With
             // `threads > 1` the branches run on real OS threads — the
             // simulation of each branch is self-contained and
             // deterministic, so the merged result is byte-identical to
@@ -432,11 +447,13 @@ impl Pipeline {
                 dag.branches[b]
                     .iter()
                     .map(|&i| {
-                        let stage = &self.stages[i];
-                        let inputs = resolve_inputs(stage, i, source, outputs);
-                        let build = resolve_build(&stage.spec, outputs);
-                        let sys = base.restrict(leases[slot]);
-                        run_stage_engine(cfg, sys, stage, inputs, build, None)
+                        memo.run((i, Some(leases[slot]), None), || {
+                            let stage = &self.stages[i];
+                            let inputs = resolve_inputs(stage, i, source, outputs);
+                            let build = resolve_build(&stage.spec, outputs);
+                            let sys = base.restrict(leases[slot]);
+                            run_stage_engine(cfg, sys, stage, inputs, build, None)
+                        })
                     })
                     .collect()
             };
@@ -559,11 +576,11 @@ impl Pipeline {
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
-        source_rows: usize,
         source: &Rel,
         serial: Vec<StageRun>,
         outputs: Vec<Rel>,
         obs: Observer<'_>,
+        memo: &RunMemo,
     ) -> PipelineReport {
         let n = self.stages.len();
         let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
@@ -578,11 +595,12 @@ impl Pipeline {
             &mut matches,
             obs,
             None,
+            memo,
         );
         let concurrent: Vec<bool> = chosen.iter().map(Option::is_some).collect();
         let assembly = Assembly {
             mode: Concurrency::Branch,
-            source_rows,
+            source_rows: source.len(),
             serial,
             outputs,
             chosen,
@@ -614,16 +632,16 @@ impl Pipeline {
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
-        source_rows: usize,
         source: &Rel,
         serial: Vec<StageRun>,
         outputs: Vec<Rel>,
         obs: Observer<'_>,
+        memo: &RunMemo,
     ) -> PipelineReport {
-        let sched = self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None);
+        let sched = self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None, memo);
         let assembly = Assembly {
             mode: Concurrency::Stream,
-            source_rows,
+            source_rows: source.len(),
             serial,
             outputs,
             chosen: sched.chosen,
@@ -644,35 +662,27 @@ impl Pipeline {
     /// The default candidate is byte-for-byte the `Concurrency::Stream`
     /// execution, so `auto ≤ min(serial, branch, stream)` holds by
     /// construction; the `planned` block records the predictions and who
-    /// won so artifacts can attribute the outcome.
+    /// won so artifacts can attribute the outcome. Both candidates run
+    /// through one `memo`, so the planned candidate simulates only the
+    /// stage executions its leases or chunk counts actually change.
     #[allow(clippy::too_many_arguments)]
     fn run_auto(
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
-        source_rows: usize,
         source: &Rel,
         serial: Vec<StageRun>,
         outputs: Vec<Rel>,
         obs: Observer<'_>,
+        memo: &RunMemo,
     ) -> PipelineReport {
-        let sys = cfg.system_config();
-        let shapes: Vec<StageShape> = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| StageShape {
-                rows_in: serial[i].input_rows,
-                rows_build: resolve_build(&stage.spec, &outputs).map_or(0, |r| r.len()),
-                rows_out: outputs[i].len(),
-            })
-            .collect();
-        let plan = crate::plan::plan_pipeline(&self.stages, dag, &shapes, &sys, STREAM_CHUNKS);
+        let plan = self.plan(cfg, dag, &serial, &outputs);
 
         // Candidate D: the default stream schedule (emits the progress
         // events). Candidate P: the planned schedule, raced silently —
         // observation must not depend on which candidate wins.
-        let default = self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None);
+        let default =
+            self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None, memo);
         let silent = ();
         let planned_exec = plan.proposes_changes().then(|| {
             self.exec_stream_schedule(
@@ -683,6 +693,7 @@ impl Pipeline {
                 &outputs,
                 Observer { label: obs.label, sink: &silent },
                 Some(&plan),
+                memo,
             )
         });
         let planner_won =
@@ -733,7 +744,7 @@ impl Pipeline {
         };
         let assembly = Assembly {
             mode: Concurrency::Auto,
-            source_rows,
+            source_rows: source.len(),
             serial,
             outputs,
             chosen: winner.chosen,
@@ -745,6 +756,23 @@ impl Pipeline {
             planned: Some(planned),
         };
         self.assemble_scheduled(cfg, dag, assembly)
+    }
+
+    /// The cost-model plan `auto` races against the default stream
+    /// schedule, from the serial pass's actual cardinalities.
+    fn plan(&self, cfg: &PipelineConfig, dag: &Dag, serial: &[StageRun], outputs: &[Rel]) -> Plan {
+        let shapes: Vec<StageShape> = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| StageShape {
+                rows_in: serial[i].input_rows,
+                rows_build: resolve_build(&stage.spec, outputs).map_or(0, |r| r.len()),
+                rows_out: outputs[i].len(),
+            })
+            .collect();
+        let sys = cfg.system_config();
+        crate::plan::plan_pipeline(&self.stages, dag, &shapes, &sys, STREAM_CHUNKS)
     }
 
     /// One complete stream-schedule execution — the shared engine behind
@@ -764,6 +792,7 @@ impl Pipeline {
         outputs: &[Rel],
         obs: Observer<'_>,
         plan: Option<&Plan>,
+        memo: &RunMemo,
     ) -> SchedExec {
         let n = self.stages.len();
         let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
@@ -778,15 +807,17 @@ impl Pipeline {
             &mut matches,
             obs,
             plan,
+            memo,
         );
         let concurrent: Vec<bool> = chosen.iter().map(Option::is_some).collect();
         let base = cfg.system_config();
 
         // Streamed consumer runs for every candidate pair. The consumer
         // re-executes under the same lease its branch-mode charged run
-        // used, with the producer's verified serial output as the chunk
-        // stream, and is held to the same differential contract as
-        // partitioned runs: projected output byte-identical to serial.
+        // used (`None`: the whole machine), with the producer's verified
+        // serial output as the chunk stream, and is held to the same
+        // differential contract as partitioned runs — hit or miss:
+        // projected output byte-identical to serial.
         let mut pairs: Vec<PairExec> = Vec::new();
         for (producer, consumer) in dag.fused_pairs(&self.stages) {
             let unfused_ps = chosen[consumer]
@@ -801,24 +832,24 @@ impl Pipeline {
             }
             let chunk_count =
                 plan.and_then(|p| p.edge_chunks(producer, consumer)).unwrap_or(STREAM_CHUNKS);
-            let chunks = chunk_stream(&outputs[producer], chunk_count);
             let wave = &execs[dag.wave_of(consumer)];
-            let sys = match &wave.leases {
-                Some(leases) => {
-                    let slot = wave
-                        .report
-                        .branches
-                        .iter()
-                        .position(|b| b.branch == dag.branch_of[consumer])
-                        .expect("consumer's branch is in its wave");
-                    base.restrict(leases[slot])
-                }
-                None => cfg.system_config(),
-            };
-            let stage = &self.stages[consumer];
-            let inputs = resolve_inputs(stage, consumer, source, outputs);
-            let build = resolve_build(&stage.spec, outputs);
-            let run = run_stage_engine(cfg, sys, stage, inputs, build, Some(chunks));
+            let lease = wave.leases.as_ref().map(|leases| {
+                let slot = wave
+                    .report
+                    .branches
+                    .iter()
+                    .position(|b| b.branch == dag.branch_of[consumer])
+                    .expect("consumer's branch is in its wave");
+                leases[slot]
+            });
+            let run = memo.run((consumer, lease, Some(chunk_count)), || {
+                let sys = lease.map_or_else(|| cfg.system_config(), |l| base.restrict(l));
+                let stage = &self.stages[consumer];
+                let inputs = resolve_inputs(stage, consumer, source, outputs);
+                let build = resolve_build(&stage.spec, outputs);
+                let chunks = chunk_stream(&outputs[producer], chunk_count);
+                run_stage_engine(cfg, sys, stage, inputs, build, Some(chunks))
+            });
             matches[consumer] &= run.projected[..] == outputs[consumer][..];
             // An engine path that records no per-chunk rounds cannot be
             // overlapped in the timeline walk — fall back to the
@@ -1180,7 +1211,52 @@ fn stream_rounds(run: &StageRun) -> Option<(Vec<Time>, Time)> {
     Some((spans, rest))
 }
 
+/// The serial reference pass of a run: the plan's DAG, the source
+/// relation, and every stage's whole-machine run and projected output.
+struct SerialPass {
+    dag: Dag,
+    source: Rel,
+    serial: Vec<StageRun>,
+    outputs: Vec<Rel>,
+}
+
+/// Identity of one scheduled stage execution within a run: the stage,
+/// the vault lease it ran on (`None`: the whole machine), and the chunk
+/// count a streamed consumer's primary input was split into (`None`:
+/// materialized input).
+type RunKey = (usize, Option<PartitionSpec>, Option<usize>);
+
+/// Per-run memo of scheduled stage executions (leased branch runs and
+/// streamed consumer runs). Within one run a [`RunKey`] fixes every input
+/// of the execution — inputs come from the serial pass's outputs, the
+/// machine is the run's system restricted to the lease, and
+/// [`chunk_stream`] is deterministic — so a hit *is* the same
+/// simulation. `auto`'s two race candidates share one memo, so the
+/// planned candidate simulates only what its plan changes. Thread-safe:
+/// the branches of a wave may run on separate OS threads, and no two of
+/// them share a key.
+#[derive(Default)]
+struct RunMemo {
+    runs: Mutex<HashMap<RunKey, StageRun>>,
+    /// Executions actually simulated (misses).
+    simulated: AtomicU64,
+}
+
+impl RunMemo {
+    /// The memoized run for `key`, simulating it on a miss.
+    fn run(&self, key: RunKey, simulate: impl FnOnce() -> StageRun) -> StageRun {
+        if let Some(run) = self.runs.lock().expect("memo poisoned").get(&key) {
+            return run.clone();
+        }
+        let run = simulate();
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        self.runs.lock().expect("memo poisoned").insert(key, run.clone());
+        run
+    }
+}
+
 /// One executed stage (on the whole machine or on a lease).
+#[derive(Clone)]
 struct StageRun {
     input_rows: usize,
     report: Report,
@@ -1656,6 +1732,7 @@ impl PipelineConfig {
 mod tests {
     use super::*;
     use mondrian_ops::spark::SparkOp;
+    use std::collections::HashSet;
 
     #[test]
     fn from_spark_ops_uses_default_lowerings() {
@@ -1826,6 +1903,67 @@ mod tests {
                 best
             );
             assert!(serial.planned.is_none() && stream.planned.is_none());
+        }
+    }
+
+    #[test]
+    fn auto_candidates_share_stage_runs() {
+        // The branch_join shape: two filter -> group_by branches in one
+        // concurrent wave, then a join. On the tiny topology the planner
+        // keeps the equal lease split and retunes only chunk counts.
+        let pipeline = Pipeline::from_stages(vec![
+            Stage::chained(StageSpec::Filter { modulus: 10, remainder: 0 }),
+            Stage::chained(StageSpec::GroupByKey),
+            Stage::with_input(StageSpec::Filter { modulus: 3, remainder: 1 }, StageInput::Source),
+            Stage::chained(StageSpec::GroupByKey),
+            Stage::with_input(StageSpec::Join { build: BuildSide::Stage(3) }, StageInput::Stage(1)),
+        ]);
+        for system in [SystemKind::Mondrian, SystemKind::Cpu] {
+            let mut cfg = PipelineConfig::tiny(system);
+            cfg.concurrency = Concurrency::Auto;
+            let SerialPass { dag, source, serial, outputs } =
+                pipeline.serial_pass(&cfg, &ExecCache::default(), "", &());
+            let plan = pipeline.plan(&cfg, &dag, &serial, &outputs);
+            assert!(plan.waves.is_empty(), "{system}: the plan keeps the equal split");
+            assert!(!plan.edges.is_empty(), "{system}: the plan retunes chunk counts");
+            let keys = |memo: &RunMemo| -> HashSet<RunKey> {
+                memo.runs.lock().unwrap().keys().copied().collect()
+            };
+            let obs = Observer { label: "", sink: &() };
+
+            // The default candidate alone, on its own memo.
+            let default = RunMemo::default();
+            pipeline
+                .exec_stream_schedule(&cfg, &dag, &source, &serial, &outputs, obs, None, &default);
+            let default_keys = keys(&default);
+            assert!(
+                default_keys.iter().any(|&(_, lease, chunks)| lease.is_some() && chunks.is_none()),
+                "{system}: the wave runs its branches on leases"
+            );
+
+            let memo = RunMemo::default();
+            let report = pipeline.run_auto(&cfg, &dag, &source, serial, outputs, obs, &memo);
+            assert!(report.verified(), "{system}: auto run failed");
+            let auto_keys = keys(&memo);
+            // Every execution was simulated exactly once ...
+            assert_eq!(memo.simulated.load(Ordering::Relaxed), auto_keys.len() as u64);
+            // ... the planned candidate reused every default execution ...
+            assert!(default_keys.is_subset(&auto_keys), "{system}");
+            // ... and simulated only its re-chunked streamed consumers, on
+            // the leases the default streamed them on.
+            let new: HashSet<RunKey> = auto_keys.difference(&default_keys).copied().collect();
+            let expected: HashSet<RunKey> = plan
+                .edges
+                .iter()
+                .map(|e| {
+                    let &(_, lease, _) = default_keys
+                        .iter()
+                        .find(|&&(i, _, chunks)| i == e.consumer && chunks == Some(STREAM_CHUNKS))
+                        .expect("the default streams every planned edge");
+                    (e.consumer, lease, Some(e.chunks))
+                })
+                .collect();
+            assert_eq!(new, expected, "{system}");
         }
     }
 
