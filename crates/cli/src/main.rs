@@ -247,17 +247,10 @@ fn cmd_run(args: &[String]) -> Result<u8, CliError> {
                 jobs_flag = Some(n.parse().map_err(|_| format!("bad worker count {n:?}"))?);
             }
             "--concurrency" => {
-                concurrency = Some(match it.next().map(String::as_str) {
-                    Some("serial") => Concurrency::Serial,
-                    Some("branch") => Concurrency::Branch,
-                    Some("stream") => Concurrency::Stream,
-                    Some("auto") => Concurrency::Auto,
-                    _ => {
-                        return Err("--concurrency needs \"serial\", \"branch\", \"stream\" \
-                             or \"auto\""
-                            .into())
-                    }
-                });
+                concurrency =
+                    Some(it.next().map(String::as_str).and_then(Concurrency::from_name).ok_or(
+                        "--concurrency needs \"serial\", \"branch\", \"stream\" or \"auto\"",
+                    )?);
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}").into()),
             path => {

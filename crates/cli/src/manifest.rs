@@ -295,17 +295,12 @@ impl Manifest {
             Some(v) => parse_topology(v)?,
         };
 
-        let concurrency =
-            match campaign.get("concurrency").map(|v| v.as_str()) {
-                None | Some(Some("serial")) => Concurrency::Serial,
-                Some(Some("branch")) => Concurrency::Branch,
-                Some(Some("stream")) => Concurrency::Stream,
-                Some(Some("auto")) => Concurrency::Auto,
-                _ => return Err(
-                    "campaign.concurrency must be \"serial\", \"branch\", \"stream\" or \"auto\""
-                        .into(),
-                ),
-            };
+        let concurrency = match campaign.get("concurrency") {
+            None => Concurrency::Serial,
+            Some(v) => v.as_str().and_then(Concurrency::from_name).ok_or(
+                "campaign.concurrency must be \"serial\", \"branch\", \"stream\" or \"auto\"",
+            )?,
+        };
 
         let tpv_scalar =
             get_usize(campaign, "campaign.tuples_per_vault", "tuples_per_vault")?.unwrap_or(256);

@@ -30,13 +30,14 @@ pub enum ProgressEvent {
         /// The stage's simulated runtime.
         runtime_ps: Time,
     },
-    /// A scheduled wave completed (branch and stream modes).
+    /// A wave of the run's schedule, emitted in wave order once the
+    /// schedule is assembled, in every concurrency mode.
     WaveCompleted {
         /// Wave index (topological level).
         wave: usize,
         /// Whether the wave charged the concurrent schedule.
         concurrent: bool,
-        /// The wave's charged simulated time.
+        /// The wave's charged simulated time, as the artifact records it.
         runtime_ps: Time,
     },
     /// One sweep point of a campaign finished (fired in manifest order).

@@ -1,38 +1,41 @@
 //! The pipeline executor: lowers a stage DAG onto the simulated engine.
 //!
-//! Three schedules are supported ([`Concurrency`]):
+//! Every run starts with the **serial pass**: each stage on the whole
+//! machine, in stage order, verified against its pure reference
+//! executor. It is the reference every schedule is checked against and
+//! the source of every scheduled stage's inputs. One schedule executor
+//! (`Pipeline::execute`) then runs four steps over it, and the
+//! [`Concurrency`] mode is only data that decides which steps do work:
 //!
-//! * **Serial** — one stage at a time over the whole machine, in stage
-//!   order. This is the reference executor.
-//! * **Branch** — the scheduler decomposes the plan into branch waves
-//!   ([`crate::schedule::Dag`]); the branches of one wave lease disjoint
-//!   vault partitions ([`PartitionSpec`]) of the same machine and execute
-//!   concurrently, joining at a barrier. Every partitioned stage's output
-//!   is verified byte-identical to the serial reference run, and a wave
-//!   only charges the concurrent makespan when it beats running its
-//!   stages back to back — the branch schedule is never reported slower
-//!   than the serial one.
-//! * **Stream** — branch scheduling plus intra-stage pipelining: for
-//!   every fused producer→consumer edge ([`Dag::fused_pairs`]) the
-//!   consumer re-executes with its primary input arriving as a bounded
-//!   stream of chunks ([`mondrian_core::ExperimentBuilder::streamed_input`]),
-//!   and the wave timeline overlaps the producer's probe/output phase
-//!   with the consumer's per-chunk partition rounds instead of
-//!   materializing the relation at a wave barrier. Streamed runs are
-//!   verified byte-identical to the serial reference like partitioned
-//!   ones, and two fallbacks bound the timing model: a pair never
-//!   charges more than its materialized slot, and a wave never charges
-//!   more than the branch schedule — so `stream ≤ branch ≤ serial`
-//!   holds by construction.
-//! * **Auto** — the cost-model planner ([`crate::plan`]) predicts
-//!   per-stage makespans from the serial pass's actual cardinalities and
-//!   proposes weighted vault leases per wave plus tuned chunk counts per
-//!   fused edge. The executor races the default stream schedule against
-//!   the planned one and charges whichever measured faster, so
-//!   `auto ≤ min(serial, branch, stream)` holds by construction and a
-//!   wrong prediction can never regress a run. The candidates share one
-//!   per-run memo of stage executions ([`RunMemo`]), so the planned one
-//!   simulates only what its plan changes.
+//! 1. **Leases** (every mode but `serial`). Each wave with two or more
+//!    branches ([`crate::schedule::Dag`]) leases disjoint vault partitions
+//!    ([`PartitionSpec`]) of the machine — an equal split, or the plan's
+//!    weighted one — and runs its branches on them. Every leased run must
+//!    be byte-identical to the serial pass, and a wave keeps the
+//!    concurrent layout only if it beats running its stages back to back.
+//! 2. **Streams** (`stream` and `auto`). Every fused producer→consumer
+//!    edge ([`Dag::fused_pairs`]) re-runs the consumer under the lease its
+//!    wave charged, with its primary input arriving as a bounded stream of
+//!    chunks ([`mondrian_core::ExperimentBuilder::streamed_input`]) — 8 by
+//!    default, or the plan's count — held to the same byte-identity check.
+//! 3. **Timeline.** The waves are walked in order on one clock, overlapping
+//!    each producer's output phase with its consumer's per-chunk partition
+//!    rounds. A pair never charges more than its materialized slot and a
+//!    wave never more than its branch layout, so `stream ≤ branch ≤
+//!    serial` holds by construction.
+//! 4. **Reports.** Each wave's report is built once, from the runs it
+//!    charged: the branch table and critical path, mesh traffic per lease
+//!    and SerDes traffic globally.
+//!
+//! Under `auto` the cost-model planner ([`crate::plan`]) predicts
+//! per-stage makespans from the serial pass's actual cardinalities and
+//! proposes weighted leases per wave plus tuned chunk counts per fused
+//! edge. `Pipeline::race` executes the plan as a second candidate and
+//! charges whichever of the two measured faster, so `auto ≤ min(serial,
+//! branch, stream)` holds by construction and a wrong prediction can
+//! never regress a run. The candidates share one per-run memo of stage
+//! executions ([`RunMemo`]), so the planned one simulates only what its
+//! plan changes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,7 +192,8 @@ impl Pipeline {
     /// Like [`Pipeline::run_cached`], additionally streaming
     /// [`ProgressEvent`]s to `sink` as the run executes, tagged with
     /// `label`. Stage events fire from the serial reference pass in
-    /// stage order; wave events fire from the schedulers in wave order.
+    /// stage order; one wave event per wave fires, in wave order, from
+    /// the assembled schedule, carrying the time the wave charged.
     /// Purely observational: the report is byte-identical to an
     /// unobserved run.
     ///
@@ -203,18 +207,28 @@ impl Pipeline {
         label: &str,
         sink: &dyn ProgressSink,
     ) -> PipelineReport {
-        let SerialPass { dag, source, serial, outputs } = self.serial_pass(cfg, cache, label, sink);
-        let obs = Observer { label, sink };
+        let pass = self.serial_pass(cfg, cache, label, sink);
         // Every scheduled re-execution of this run goes through one memo.
         let memo = RunMemo::default();
-        match cfg.concurrency {
-            Concurrency::Serial => self.assemble_serial(cfg, &dag, source.len(), serial, outputs),
-            Concurrency::Branch => {
-                self.run_branches(cfg, &dag, &source, serial, outputs, obs, &memo)
-            }
-            Concurrency::Stream => self.run_stream(cfg, &dag, &source, serial, outputs, obs, &memo),
-            Concurrency::Auto => self.run_auto(cfg, &dag, &source, serial, outputs, obs, &memo),
+        let exec = self.execute(cfg, &pass, None, &memo);
+        let (exec, planned) = if cfg.concurrency == Concurrency::Auto {
+            let (exec, planned) = self.race(cfg, &pass, exec, &memo);
+            (exec, Some(planned))
+        } else {
+            (exec, None)
+        };
+        let report = self.assemble(cfg, pass, exec, planned);
+        for wave in &report.schedule.waves {
+            sink.emit(
+                label,
+                &ProgressEvent::WaveCompleted {
+                    wave: wave.wave,
+                    concurrent: wave.concurrent,
+                    runtime_ps: wave.runtime_ps,
+                },
+            );
         }
+        report
     }
 
     /// The serial reference pass every schedule starts from: each stage
@@ -324,124 +338,57 @@ impl Pipeline {
         SerialPass { dag, source, serial, outputs }
     }
 
-    /// Assembles the report of a serial run: every wave charges the sum of
-    /// its stage runtimes.
-    fn assemble_serial(
+    /// The schedule executor every mode runs over the serial `pass`:
+    /// leases, then streams, then the timeline walk, then the wave
+    /// reports (see the module docs). `cfg.concurrency` decides which
+    /// steps do work: leases run unless it is `Serial`, and fused edges
+    /// stream only under `Stream` and `Auto`. A `plan` overrides the
+    /// equal lease split and the default chunk counts. Every leased or
+    /// streamed run goes through `memo` and is checked against the serial
+    /// outputs (`matches`), charged or not.
+    #[allow(clippy::too_many_lines)]
+    fn execute(
         &self,
         cfg: &PipelineConfig,
-        dag: &Dag,
-        source_rows: usize,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-    ) -> PipelineReport {
-        let total_vaults = cfg.system_config().total_vaults();
-        let mut waves = Vec::new();
-        let mut makespan: Time = 0;
-        for (w, wave_branches) in dag.waves.iter().enumerate() {
-            let wave = serial_wave(w, wave_branches, dag, &serial, total_vaults);
-            makespan += wave.runtime_ps;
-            waves.push(wave);
-        }
-        let stages = self
-            .stages
-            .iter()
-            .zip(serial)
-            .enumerate()
-            .map(|(i, (stage, run))| {
-                let serial_runtime = run.report.runtime_ps;
-                stage_outcome(
-                    cfg,
-                    i,
-                    stage,
-                    run,
-                    StagePlacement {
-                        wave: dag.wave_of(i),
-                        branch: dag.branch_of[i],
-                        concurrent: false,
-                        streamed: false,
-                    },
-                    serial_runtime,
-                    true,
-                )
-            })
-            .collect();
-        PipelineReport {
-            system: cfg.system,
-            source_rows,
-            stages,
-            schedule: ScheduleReport {
-                mode: Concurrency::Serial,
-                waves,
-                fused: Vec::new(),
-                makespan_ps: makespan,
-            },
-            planned: None,
-            output: outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
-        }
-    }
-
-    /// The branch-mode wave execution shared by the branch and stream
-    /// schedulers: waves with two or more ready branches lease disjoint
-    /// vault partitions and execute concurrently; each partitioned stage
-    /// is verified byte-identical to the serial pass (`matches`), its
-    /// run parked in `chosen` when the wave charges the concurrent
-    /// layout, and a wave falls back to the serial schedule when
-    /// concurrency does not pay. A plan may override a wave's equal
-    /// lease split with its weighted proposal.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn exec_waves(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source: &Rel,
-        serial: &[StageRun],
-        outputs: &[Rel],
-        chosen: &mut [Option<StageRun>],
-        matches: &mut [bool],
-        obs: Observer<'_>,
+        pass: &SerialPass,
         plan: Option<&Plan>,
         memo: &RunMemo,
-    ) -> Vec<WaveExec> {
+    ) -> SchedExec {
+        let SerialPass { dag, source, serial, outputs } = pass;
+        let n = self.stages.len();
         let base = cfg.system_config();
         let total_vaults = base.total_vaults();
-        let mut execs = Vec::with_capacity(dag.waves.len());
+        let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
+        let mut matches = vec![true; n];
 
+        // 1. Leases: the branches of a multi-branch wave run on disjoint
+        // vault partitions, and the wave keeps the leases (its runs parked
+        // in `chosen`) only when the concurrent layout beats serial.
+        let mut wave_leases: Vec<Option<Vec<PartitionSpec>>> = Vec::with_capacity(dag.waves.len());
         for (w, wave_branches) in dag.waves.iter().enumerate() {
-            // Wave boundaries are the branch/stream schedulers'
-            // cooperative wall-time checkpoints.
+            // Wave boundaries are the schedule's cooperative wall-time
+            // checkpoints.
             check_deadline(cfg);
-            let serial_sum: Time = wave_branches
-                .iter()
-                .flat_map(|&b| &dag.branches[b])
-                .map(|&i| serial[i].report.runtime_ps)
-                .sum();
-            let leases = if wave_branches.len() >= 2 {
+            let leases = if cfg.concurrency != Concurrency::Serial && wave_branches.len() >= 2 {
                 plan.and_then(|p| p.wave_leases(w))
                     .filter(|leases| leases.len() == wave_branches.len())
                     .or_else(|| PartitionSpec::split(total_vaults, wave_branches.len() as u32))
             } else {
                 None
             };
+            // Singleton wave, serial mode, or more tenants than vaults:
+            // the serial schedule is the only schedule.
             let Some(leases) = leases else {
-                // Singleton wave, or more tenants than vaults: the serial
-                // schedule is the only schedule.
-                let report = serial_wave(w, wave_branches, dag, serial, total_vaults);
-                obs.emit(&ProgressEvent::WaveCompleted {
-                    wave: w,
-                    concurrent: false,
-                    runtime_ps: report.runtime_ps,
-                });
-                execs.push(WaveExec { report, leases: None });
+                wave_leases.push(None);
                 continue;
             };
 
-            // Execute every branch of the wave on its lease. Inputs come
-            // from the verified serial outputs, so cross-branch edges from
-            // earlier waves resolve identically in both schedules (and a
-            // stage already run on the same lease is a memo hit). With
-            // `threads > 1` the branches run on real OS threads — the
-            // simulation of each branch is self-contained and
-            // deterministic, so the merged result is byte-identical to
+            // Inputs come from the verified serial outputs, so cross-branch
+            // edges from earlier waves resolve identically in both
+            // schedules (and a stage already run on the same lease is a
+            // memo hit). With `threads > 1` the branches run on real OS
+            // threads — the simulation of each branch is self-contained
+            // and deterministic, so the merged result is byte-identical to
             // the in-order execution regardless of thread scheduling.
             let run_branch = |slot: usize, b: usize| -> Vec<StageRun> {
                 dag.branches[b]
@@ -487,342 +434,40 @@ impl Pipeline {
             } else {
                 (0..wave_branches.len()).map(|slot| run_branch(slot, wave_branches[slot])).collect()
             };
-            let mut branch_runs = branch_runs;
-            for (slot, &b) in wave_branches.iter().enumerate() {
-                for (&i, run) in dag.branches[b].iter().zip(&branch_runs[slot]) {
-                    matches[i] = run.projected[..] == outputs[i][..];
-                }
-            }
-            let branch_times: Vec<Time> = branch_runs
+            let serial_sum: Time = wave_branches
                 .iter()
-                .map(|runs| runs.iter().map(|r| r.report.runtime_ps).sum())
-                .collect();
-            let concurrent_time = branch_times.iter().copied().max().unwrap_or(0);
+                .flat_map(|&b| &dag.branches[b])
+                .map(|&i| serial[i].report.runtime_ps)
+                .sum();
+            let concurrent_time = branch_runs
+                .iter()
+                .map(|runs| runs.iter().map(|r| r.report.runtime_ps).sum::<Time>())
+                .max()
+                .unwrap_or(0);
             let concurrent = concurrent_time < serial_sum;
-
-            // Wave report: per-branch mesh traffic stays attributed to the
-            // branch's partition; SerDes traffic merges into one globally
-            // charged total.
-            let mut serdes = SerDesStats::default();
-            let mut branches = Vec::with_capacity(wave_branches.len());
-            for (slot, &b) in wave_branches.iter().enumerate() {
-                let runs: &[StageRun] = if concurrent {
-                    &branch_runs[slot]
-                } else {
-                    // Fallback: report the serial execution's accounting.
-                    &[]
-                };
-                let mut mesh = MeshStats::default();
-                let mut runtime: Time = 0;
-                if concurrent {
-                    for r in runs {
-                        mesh.merge(&r.report.mesh_totals);
-                        serdes.merge(&r.report.serdes_totals);
-                        runtime += r.report.runtime_ps;
-                    }
-                } else {
-                    for &i in &dag.branches[b] {
-                        mesh.merge(&serial[i].report.mesh_totals);
-                        serdes.merge(&serial[i].report.serdes_totals);
-                        runtime += serial[i].report.runtime_ps;
-                    }
-                }
-                let (first_vault, vaults) = if concurrent {
-                    (leases[slot].first_vault, leases[slot].vaults)
-                } else {
-                    (0, total_vaults)
-                };
-                branches.push(BranchSchedule {
-                    branch: b,
-                    stages: dag.branches[b].clone(),
-                    first_vault,
-                    vaults,
-                    runtime_ps: runtime,
-                    critical: false,
-                    mesh,
-                });
-            }
-            mark_critical(&mut branches);
-            let charged = if concurrent { concurrent_time } else { serial_sum };
-            obs.emit(&ProgressEvent::WaveCompleted { wave: w, concurrent, runtime_ps: charged });
-            execs.push(WaveExec {
-                report: WaveReport {
-                    wave: w,
-                    concurrent,
-                    runtime_ps: charged,
-                    serial_runtime_ps: serial_sum,
-                    branches,
-                    serdes,
-                },
-                leases: concurrent.then_some(leases),
-            });
-
-            if concurrent {
-                for (slot, &b) in wave_branches.iter().enumerate() {
-                    let runs = std::mem::take(&mut branch_runs[slot]);
-                    for (&i, run) in dag.branches[b].iter().zip(runs) {
+            for (&b, runs) in wave_branches.iter().zip(branch_runs) {
+                for (&i, run) in dag.branches[b].iter().zip(runs) {
+                    matches[i] = run.projected[..] == outputs[i][..];
+                    if concurrent {
                         chosen[i] = Some(run);
                     }
                 }
             }
+            wave_leases.push(concurrent.then_some(leases));
         }
-        execs
-    }
 
-    /// The branch scheduler: branch-mode wave execution, assembled as the
-    /// charged schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn run_branches(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source: &Rel,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-        obs: Observer<'_>,
-        memo: &RunMemo,
-    ) -> PipelineReport {
-        let n = self.stages.len();
-        let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
-        let mut matches = vec![true; n];
-        let execs = self.exec_waves(
-            cfg,
-            dag,
-            source,
-            &serial,
-            &outputs,
-            &mut chosen,
-            &mut matches,
-            obs,
-            None,
-            memo,
-        );
-        let concurrent: Vec<bool> = chosen.iter().map(Option::is_some).collect();
-        let assembly = Assembly {
-            mode: Concurrency::Branch,
-            source_rows: source.len(),
-            serial,
-            outputs,
-            chosen,
-            matches,
-            concurrent,
-            streamed: vec![false; n],
-            waves: execs.into_iter().map(|we| we.report).collect(),
-            fused: Vec::new(),
-            planned: None,
-        };
-        self.assemble_scheduled(cfg, dag, assembly)
-    }
-
-    /// The stream scheduler: branch-mode wave execution first (leases,
-    /// serial-equivalence checks, per-wave fallback), then intra-stage
-    /// pipelining on top. Every fused producer→consumer edge
-    /// ([`Dag::fused_pairs`]) re-executes the consumer with its primary
-    /// input arriving as a bounded chunk stream, and the wave timeline
-    /// overlaps the producer's output phase with the consumer's
-    /// per-chunk partition rounds. The overlap model claims only what
-    /// the fallbacks bound — a pair never charges more than its
-    /// materialized slot, a wave never more than the branch schedule —
-    /// so `stream ≤ branch ≤ serial` holds by construction, while the
-    /// functional contract stays independent of the timing model: every
-    /// streamed run's projected output must be byte-identical to the
-    /// serial reference pass, charged or not.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stream(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source: &Rel,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-        obs: Observer<'_>,
-        memo: &RunMemo,
-    ) -> PipelineReport {
-        let sched = self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None, memo);
-        let assembly = Assembly {
-            mode: Concurrency::Stream,
-            source_rows: source.len(),
-            serial,
-            outputs,
-            chosen: sched.chosen,
-            matches: sched.matches,
-            concurrent: sched.concurrent,
-            streamed: sched.streamed,
-            waves: sched.waves,
-            fused: sched.fused,
-            planned: None,
-        };
-        self.assemble_scheduled(cfg, dag, assembly)
-    }
-
-    /// The adaptive scheduler: builds a cost-model plan from the serial
-    /// pass's actual cardinalities ([`crate::plan::plan_pipeline`]), then
-    /// races the default stream schedule against the planned one (weighted
-    /// leases, tuned chunk counts) and charges whichever measured faster.
-    /// The default candidate is byte-for-byte the `Concurrency::Stream`
-    /// execution, so `auto ≤ min(serial, branch, stream)` holds by
-    /// construction; the `planned` block records the predictions and who
-    /// won so artifacts can attribute the outcome. Both candidates run
-    /// through one `memo`, so the planned candidate simulates only the
-    /// stage executions its leases or chunk counts actually change.
-    #[allow(clippy::too_many_arguments)]
-    fn run_auto(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source: &Rel,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-        obs: Observer<'_>,
-        memo: &RunMemo,
-    ) -> PipelineReport {
-        let plan = self.plan(cfg, dag, &serial, &outputs);
-
-        // Candidate D: the default stream schedule (emits the progress
-        // events). Candidate P: the planned schedule, raced silently —
-        // observation must not depend on which candidate wins.
-        let default =
-            self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None, memo);
-        let silent = ();
-        let planned_exec = plan.proposes_changes().then(|| {
-            self.exec_stream_schedule(
-                cfg,
-                dag,
-                source,
-                &serial,
-                &outputs,
-                Observer { label: obs.label, sink: &silent },
-                Some(&plan),
-                memo,
-            )
-        });
-        let planner_won =
-            planned_exec.as_ref().is_some_and(|p| p.makespan_ps() < default.makespan_ps());
-        let (winner, loser) = if planner_won {
-            (planned_exec.expect("planner_won implies a planned candidate"), Some(default))
-        } else {
-            (default, planned_exec)
-        };
-        // Every candidate run was verified against the serial outputs;
-        // a mismatch in either candidate fails the run, charged or not.
-        let mut matches = winner.matches;
-        if let Some(loser) = &loser {
-            for (m, &lm) in matches.iter_mut().zip(&loser.matches) {
-                *m &= lm;
-            }
-        }
-        let planned = PlanReport {
-            stage_predicted_ps: plan.stage_predicted_ps.clone(),
-            predicted_makespan_ps: plan.predicted_makespan_ps,
-            planner_won,
-            waves: plan
-                .waves
-                .iter()
-                .map(|w| PlannedWaveReport {
-                    wave: w.wave,
-                    leases: w
-                        .leases
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, l)| PlannedLease {
-                            branch: dag.waves[w.wave][slot],
-                            first_vault: l.first_vault,
-                            vaults: l.vaults,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            edges: plan
-                .edges
-                .iter()
-                .map(|e| PlannedEdgeReport {
-                    producer: e.producer,
-                    consumer: e.consumer,
-                    chunks: e.chunks,
-                })
-                .collect(),
-        };
-        let assembly = Assembly {
-            mode: Concurrency::Auto,
-            source_rows: source.len(),
-            serial,
-            outputs,
-            chosen: winner.chosen,
-            matches,
-            concurrent: winner.concurrent,
-            streamed: winner.streamed,
-            waves: winner.waves,
-            fused: winner.fused,
-            planned: Some(planned),
-        };
-        self.assemble_scheduled(cfg, dag, assembly)
-    }
-
-    /// The cost-model plan `auto` races against the default stream
-    /// schedule, from the serial pass's actual cardinalities.
-    fn plan(&self, cfg: &PipelineConfig, dag: &Dag, serial: &[StageRun], outputs: &[Rel]) -> Plan {
-        let shapes: Vec<StageShape> = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| StageShape {
-                rows_in: serial[i].input_rows,
-                rows_build: resolve_build(&stage.spec, outputs).map_or(0, |r| r.len()),
-                rows_out: outputs[i].len(),
-            })
-            .collect();
-        let sys = cfg.system_config();
-        crate::plan::plan_pipeline(&self.stages, dag, &shapes, &sys, STREAM_CHUNKS)
-    }
-
-    /// One complete stream-schedule execution — the shared engine behind
-    /// `Concurrency::Stream` (no plan) and both `Concurrency::Auto`
-    /// candidates (the planned one overrides leases and chunk counts).
-    /// Runs branch-mode waves, re-executes fused consumers with chunked
-    /// input, and walks the wave timeline; every fallback of the ladder
-    /// applies per candidate, so each candidate is never-worse than the
-    /// branch schedule on its own.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn exec_stream_schedule(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source: &Rel,
-        serial: &[StageRun],
-        outputs: &[Rel],
-        obs: Observer<'_>,
-        plan: Option<&Plan>,
-        memo: &RunMemo,
-    ) -> SchedExec {
-        let n = self.stages.len();
-        let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
-        let mut matches = vec![true; n];
-        let execs = self.exec_waves(
-            cfg,
-            dag,
-            source,
-            serial,
-            outputs,
-            &mut chosen,
-            &mut matches,
-            obs,
-            plan,
-            memo,
-        );
-        let concurrent: Vec<bool> = chosen.iter().map(Option::is_some).collect();
-        let base = cfg.system_config();
-
-        // Streamed consumer runs for every candidate pair. The consumer
-        // re-executes under the same lease its branch-mode charged run
-        // used (`None`: the whole machine), with the producer's verified
-        // serial output as the chunk stream, and is held to the same
-        // differential contract as partitioned runs — hit or miss:
+        // 2. Streams: every fused consumer re-executes under the lease its
+        // wave charged (`None`: the whole machine), with the producer's
+        // verified serial output as the chunk stream, and is held to the
+        // same differential contract as leased runs — hit or miss:
         // projected output byte-identical to serial.
         let mut pairs: Vec<PairExec> = Vec::new();
-        for (producer, consumer) in dag.fused_pairs(&self.stages) {
-            let unfused_ps = chosen[consumer]
-                .as_ref()
-                .map_or(serial[consumer].report.runtime_ps, |r| r.report.runtime_ps);
+        let fused_pairs = match cfg.concurrency {
+            Concurrency::Stream | Concurrency::Auto => dag.fused_pairs(&self.stages),
+            Concurrency::Serial | Concurrency::Branch => Vec::new(),
+        };
+        for (producer, consumer) in fused_pairs {
+            let unfused_ps = charged_report(&chosen, serial, consumer).runtime_ps;
             // An empty producer output has no partition rounds to overlap:
             // fusing it would charge the consumer a round for zero tuples.
             // Skip the fusion and keep the materialized slot.
@@ -832,13 +477,11 @@ impl Pipeline {
             }
             let chunk_count =
                 plan.and_then(|p| p.edge_chunks(producer, consumer)).unwrap_or(STREAM_CHUNKS);
-            let wave = &execs[dag.wave_of(consumer)];
-            let lease = wave.leases.as_ref().map(|leases| {
-                let slot = wave
-                    .report
-                    .branches
+            let w = dag.wave_of(consumer);
+            let lease = wave_leases[w].as_ref().map(|leases| {
+                let slot = dag.waves[w]
                     .iter()
-                    .position(|b| b.branch == dag.branch_of[consumer])
+                    .position(|&b| b == dag.branch_of[consumer])
                     .expect("consumer's branch is in its wave");
                 leases[slot]
             });
@@ -872,31 +515,35 @@ impl Pipeline {
             });
         }
 
-        // Timeline walk: process the waves in order on an absolute clock,
-        // replaying each wave's charged layout (concurrent branches from
-        // the wave start, or back-to-back serial order) with fused-pair
-        // overlap applied. Producers record when each chunk of their
-        // output becomes available; consumers fold the chunk arrivals
-        // and their partition rounds into the pipelined completion time.
+        // 3. Timeline walk: process the waves in order on an absolute
+        // clock, replaying each wave's charged layout (concurrent branches
+        // from the wave start, or back-to-back serial order) with
+        // fused-pair overlap applied. Producers record when each chunk of
+        // their output becomes available; consumers fold the chunk
+        // arrivals and their partition rounds into the pipelined
+        // completion time. Without fused pairs every branch keeps its
+        // materialized time.
         let mut streamed = vec![false; n];
         let mut clock: Time = 0;
-        let mut waves = Vec::with_capacity(execs.len());
+        // Per wave: each branch's time under the walk, and the wave's
+        // charged time.
+        let mut timeline: Vec<(Vec<Time>, Time)> = Vec::with_capacity(dag.waves.len());
         // Cross-branch producers of the wave being walked (pair indices);
         // their chunk availability is clamped once the wave's charged
         // time is known.
         let mut cross_wave: Vec<usize> = Vec::new();
-        for we in execs {
-            let mut report = we.report;
-            let branch_charged = report.runtime_ps;
-            let mut adjusted: Vec<Time> = Vec::with_capacity(report.branches.len());
+        for (wave_branches, leases) in dag.waves.iter().zip(&wave_leases) {
+            let concurrent = leases.is_some();
+            let mut adjusted: Vec<Time> = Vec::with_capacity(wave_branches.len());
+            let mut materialized: Vec<Time> = Vec::with_capacity(wave_branches.len());
             let mut cursor = clock; // serial layout: branches back to back
-            for branch in &report.branches {
-                let mut at = if report.concurrent { clock } else { cursor };
+            for &b in wave_branches {
+                let mut at = if concurrent { clock } else { cursor };
                 let start = at;
-                for &i in &branch.stages {
-                    let unfused = chosen[i]
-                        .as_ref()
-                        .map_or(serial[i].report.runtime_ps, |r| r.report.runtime_ps);
+                let mut unfused_sum: Time = 0;
+                for &i in &dag.branches[b] {
+                    let unfused = charged_report(&chosen, serial, i).runtime_ps;
+                    unfused_sum += unfused;
                     let mut duration = unfused;
                     if let Some(pair) = pairs.iter_mut().find(|p| p.active && p.consumer == i) {
                         // Pipelined completion: each chunk partitions as
@@ -913,7 +560,7 @@ impl Pipeline {
                         }
                     }
                     if let Some(pi) = pairs.iter().position(|p| p.active && p.producer == i) {
-                        let report = chosen[i].as_ref().map_or(&serial[i].report, |r| &r.report);
+                        let report = charged_report(&chosen, serial, i);
                         let out_ps = report.probe_time();
                         let pre = report.runtime_ps - out_ps;
                         let pair = &mut pairs[pi];
@@ -938,14 +585,18 @@ impl Pipeline {
                     at += duration;
                 }
                 adjusted.push(at - start);
+                materialized.push(unfused_sum);
                 cursor = at;
             }
-            let layout_time: Time = if report.concurrent {
-                adjusted.iter().copied().max().unwrap_or(0)
-            } else {
-                adjusted.iter().sum()
+            let layout = |times: &[Time]| -> Time {
+                if concurrent {
+                    times.iter().copied().max().unwrap_or(0)
+                } else {
+                    times.iter().sum()
+                }
             };
-            let charged = layout_time.min(branch_charged);
+            // A wave never charges more than its materialized layout.
+            let charged = layout(&adjusted).min(layout(&materialized));
             // Cross-branch chunks are consumable only while idle vaults
             // exist: rounds that fit between the producer's branch
             // retiring its lease and this wave's barrier complete there;
@@ -957,7 +608,7 @@ impl Pipeline {
                 let pair = &mut pairs[pi];
                 let mut done: Time = 0;
                 let mut fit = 0;
-                if report.concurrent {
+                if concurrent {
                     for (&arrival, &round) in pair.avail.iter().zip(&pair.spans) {
                         let t = done.max(arrival) + round;
                         if t > barrier {
@@ -972,18 +623,8 @@ impl Pipeline {
                 pair.rest += deferred;
             }
             cross_wave.clear();
-            // The walk's adjusted layout is the stream schedule's
-            // accounting even when the wave's charged time did not
-            // improve — a pair streamed in a non-critical branch still
-            // charges its streamed run, so the branch table must say so.
-            for (b, &t) in report.branches.iter_mut().zip(&adjusted) {
-                b.runtime_ps = t;
-                b.critical = false;
-            }
-            mark_critical(&mut report.branches);
-            report.runtime_ps = charged;
+            timeline.push((adjusted, charged));
             clock += charged;
-            waves.push(report);
         }
 
         // Charge the streamed runs and record every fused edge (with its
@@ -1007,107 +648,209 @@ impl Pipeline {
             });
         }
 
-        // NoC accounting follows the charged runs: a wave holding a
-        // streamed consumer re-merges its branch mesh totals and its
-        // globally-charged SerDes from the runs actually charged (the
-        // streamed run's per-chunk rounds produce different traffic than
-        // the materialized one exec_waves merged).
-        for wave in waves
-            .iter_mut()
-            .filter(|w| w.branches.iter().any(|b| b.stages.iter().any(|&i| streamed[i])))
-        {
-            let mut serdes = SerDesStats::default();
-            for branch in &mut wave.branches {
-                let mut mesh = MeshStats::default();
-                for &i in &branch.stages {
-                    let rep = chosen[i].as_ref().map_or(&serial[i].report, |r| &r.report);
-                    mesh.merge(&rep.mesh_totals);
-                    serdes.merge(&rep.serdes_totals);
+        // 4. Reports, from the runs actually charged: the walk's branch
+        // times, and per-branch mesh traffic attributed to the branch's
+        // partition, while SerDes traffic merges into one globally charged
+        // total. The walk's layout is the branch table's accounting even
+        // when the wave's charged time did not improve — a pair streamed
+        // in a non-critical branch still charges its streamed run.
+        let waves = dag
+            .waves
+            .iter()
+            .zip(wave_leases)
+            .zip(timeline)
+            .enumerate()
+            .map(|(w, ((wave_branches, leases), (adjusted, charged)))| {
+                let mut serdes = SerDesStats::default();
+                let mut branches: Vec<BranchSchedule> = wave_branches
+                    .iter()
+                    .zip(adjusted)
+                    .enumerate()
+                    .map(|(slot, (&b, runtime_ps))| {
+                        let mut mesh = MeshStats::default();
+                        for &i in &dag.branches[b] {
+                            let report = charged_report(&chosen, serial, i);
+                            mesh.merge(&report.mesh_totals);
+                            serdes.merge(&report.serdes_totals);
+                        }
+                        let (first_vault, vaults) = leases
+                            .as_ref()
+                            .map_or((0, total_vaults), |l| (l[slot].first_vault, l[slot].vaults));
+                        BranchSchedule {
+                            branch: b,
+                            stages: dag.branches[b].clone(),
+                            first_vault,
+                            vaults,
+                            runtime_ps,
+                            critical: false,
+                            mesh,
+                        }
+                    })
+                    .collect();
+                mark_critical(&mut branches);
+                WaveReport {
+                    wave: w,
+                    concurrent: leases.is_some(),
+                    runtime_ps: charged,
+                    serial_runtime_ps: wave_branches
+                        .iter()
+                        .flat_map(|&b| &dag.branches[b])
+                        .map(|&i| serial[i].report.runtime_ps)
+                        .sum(),
+                    branches,
+                    serdes,
                 }
-                branch.mesh = mesh;
-            }
-            wave.serdes = serdes;
-        }
+            })
+            .collect();
 
-        SchedExec { chosen, matches, concurrent, streamed, waves, fused }
+        SchedExec { chosen, matches, streamed, waves, fused }
     }
 
-    /// Assembles the report of a scheduled (branch or stream) run from
-    /// whichever execution was charged per stage.
-    fn assemble_scheduled(
+    /// `auto`'s candidate race: builds a cost-model plan from the serial
+    /// pass's actual cardinalities ([`crate::plan::plan_pipeline`]),
+    /// executes it as a second candidate (weighted leases, tuned chunk
+    /// counts) when it changes anything, and returns whichever of the
+    /// default execution and the planned one measured faster, with the
+    /// plan's predictions and the verdict. Both candidates run through
+    /// one `memo`, so the planned candidate simulates only the stage
+    /// executions its leases or chunk counts actually change.
+    fn race(
         &self,
         cfg: &PipelineConfig,
-        dag: &Dag,
-        mut assembly: Assembly,
+        pass: &SerialPass,
+        default: SchedExec,
+        memo: &RunMemo,
+    ) -> (SchedExec, PlanReport) {
+        let plan = self.plan(cfg, pass);
+        let planned = plan.proposes_changes().then(|| self.execute(cfg, pass, Some(&plan), memo));
+        let planner_won = planned.as_ref().is_some_and(|p| p.makespan_ps() < default.makespan_ps());
+        let (mut winner, loser) = if planner_won {
+            (planned.expect("planner_won implies a planned candidate"), Some(default))
+        } else {
+            (default, planned)
+        };
+        // Every candidate run was verified against the serial outputs;
+        // a mismatch in either candidate fails the run, charged or not.
+        if let Some(loser) = &loser {
+            for (m, &lm) in winner.matches.iter_mut().zip(&loser.matches) {
+                *m &= lm;
+            }
+        }
+        let dag = &pass.dag;
+        let report = PlanReport {
+            stage_predicted_ps: plan.stage_predicted_ps,
+            predicted_makespan_ps: plan.predicted_makespan_ps,
+            planner_won,
+            waves: plan
+                .waves
+                .iter()
+                .map(|w| PlannedWaveReport {
+                    wave: w.wave,
+                    leases: w
+                        .leases
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, l)| PlannedLease {
+                            branch: dag.waves[w.wave][slot],
+                            first_vault: l.first_vault,
+                            vaults: l.vaults,
+                        })
+                        .collect(),
+                })
+                .collect(),
+            edges: plan
+                .edges
+                .iter()
+                .map(|e| PlannedEdgeReport {
+                    producer: e.producer,
+                    consumer: e.consumer,
+                    chunks: e.chunks,
+                })
+                .collect(),
+        };
+        (winner, report)
+    }
+
+    /// The cost-model plan `auto` races against the default schedule,
+    /// from the serial pass's actual cardinalities.
+    fn plan(&self, cfg: &PipelineConfig, pass: &SerialPass) -> Plan {
+        let shapes: Vec<StageShape> = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| StageShape {
+                rows_in: pass.serial[i].input_rows,
+                rows_build: resolve_build(&stage.spec, &pass.outputs).map_or(0, |r| r.len()),
+                rows_out: pass.outputs[i].len(),
+            })
+            .collect();
+        let sys = cfg.system_config();
+        crate::plan::plan_pipeline(&self.stages, &pass.dag, &shapes, &sys, STREAM_CHUNKS)
+    }
+
+    /// Assembles the run's report from the serial pass and the charged
+    /// execution: per stage, the scheduled run when one was charged (the
+    /// serial run otherwise), placed by its wave's layout.
+    fn assemble(
+        &self,
+        cfg: &PipelineConfig,
+        pass: SerialPass,
+        mut exec: SchedExec,
+        planned: Option<PlanReport>,
     ) -> PipelineReport {
-        let makespan = assembly.waves.iter().map(|w| w.runtime_ps).sum();
+        let SerialPass { dag, source, serial, outputs } = pass;
+        let makespan = exec.makespan_ps();
         let mut stages = Vec::with_capacity(self.stages.len());
-        for (i, (stage, run)) in self.stages.iter().zip(assembly.serial).enumerate() {
-            let serial_runtime = run.report.runtime_ps;
-            let serial_reference_ok = run.reference_ok;
-            let run = match assembly.chosen[i].take() {
+        for (i, (stage, serial_run)) in self.stages.iter().zip(serial).enumerate() {
+            let serial_runtime_ps = serial_run.report.runtime_ps;
+            let run = match exec.chosen[i].take() {
                 Some(mut scheduled_run) => {
                     // The scheduled (partitioned or streamed) run was
                     // checked against the serial output, not the pure
                     // reference directly; its reference verdict follows
                     // transitively (identical to a serial output that
                     // itself matched the reference).
-                    scheduled_run.reference_ok = assembly.matches[i] && serial_reference_ok;
+                    scheduled_run.reference_ok = exec.matches[i] && serial_run.reference_ok;
                     scheduled_run
                 }
-                None => run,
+                None => serial_run,
             };
-            stages.push(stage_outcome(
-                cfg,
-                i,
-                stage,
-                run,
-                StagePlacement {
-                    wave: dag.wave_of(i),
-                    branch: dag.branch_of[i],
-                    concurrent: assembly.concurrent[i],
-                    streamed: assembly.streamed[i],
-                },
-                serial_runtime,
-                assembly.matches[i],
-            ));
+            let wave = dag.wave_of(i);
+            stages.push(StageOutcome {
+                spec: stage.spec,
+                inputs: stage.inputs.clone(),
+                wave,
+                branch: dag.branch_of[i],
+                concurrent: exec.waves[wave].concurrent,
+                streamed: exec.streamed[i],
+                serial_runtime_ps,
+                matches_serial: exec.matches[i],
+                // The digest-corruption fault point: the artifact records a
+                // digest that no longer matches the (correct) relation,
+                // which an `assertions.stage_digests` block then catches at
+                // assembly.
+                output_digest: relation_digest(&run.projected)
+                    ^ mondrian_core::fault::digest_xor(cfg.fault.as_deref(), i),
+                input_rows: run.input_rows,
+                output_rows: run.projected.len(),
+                reference_ok: run.reference_ok,
+                report: run.report,
+            });
         }
         PipelineReport {
             system: cfg.system,
-            source_rows: assembly.source_rows,
+            source_rows: source.len(),
             stages,
             schedule: ScheduleReport {
-                mode: assembly.mode,
-                waves: assembly.waves,
-                fused: assembly.fused,
+                mode: cfg.concurrency,
+                waves: exec.waves,
+                fused: exec.fused,
                 makespan_ps: makespan,
             },
-            planned: assembly.planned,
-            output: assembly.outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
+            planned,
+            output: outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
         }
     }
-}
-
-/// The run label and progress sink the schedulers report through.
-/// Observation only — nothing the sink does can influence the report.
-#[derive(Clone, Copy)]
-struct Observer<'a> {
-    label: &'a str,
-    sink: &'a dyn ProgressSink,
-}
-
-impl Observer<'_> {
-    fn emit(&self, event: &ProgressEvent) {
-        self.sink.emit(self.label, event);
-    }
-}
-
-/// One wave of the branch-mode execution, kept with the leases its
-/// concurrent layout ran on (the stream scheduler re-runs fused
-/// consumers under the same lease).
-struct WaveExec {
-    report: WaveReport,
-    leases: Option<Vec<PartitionSpec>>,
 }
 
 /// One fused producer→consumer candidate of a stream run.
@@ -1152,13 +895,15 @@ impl PairExec {
     }
 }
 
-/// One complete stream-schedule execution, before report assembly.
-/// `run_stream` charges its only execution; `run_auto` races two and
-/// charges the faster.
+/// One complete schedule execution, before report assembly. A stage's
+/// placement is its wave's layout (`waves[dag.wave_of(i)].concurrent`).
 struct SchedExec {
+    /// Per stage: the scheduled (leased or streamed) run the schedule
+    /// charged, or `None` where it charged the serial run.
     chosen: Vec<Option<StageRun>>,
+    /// Per stage: whether every scheduled run matched the serial output.
     matches: Vec<bool>,
-    concurrent: Vec<bool>,
+    /// Per stage: whether its fused edge charged the streamed run.
     streamed: Vec<bool>,
     waves: Vec<WaveReport>,
     fused: Vec<FusedEdge>,
@@ -1170,19 +915,14 @@ impl SchedExec {
     }
 }
 
-/// Inputs of the scheduled-report assembly beyond the stages themselves.
-struct Assembly {
-    mode: Concurrency,
-    source_rows: usize,
-    serial: Vec<StageRun>,
-    outputs: Vec<Rel>,
-    chosen: Vec<Option<StageRun>>,
-    matches: Vec<bool>,
-    concurrent: Vec<bool>,
-    streamed: Vec<bool>,
-    waves: Vec<WaveReport>,
-    fused: Vec<FusedEdge>,
-    planned: Option<PlanReport>,
+/// The engine report a schedule charges for stage `i`: its scheduled run
+/// if one was charged, the serial run otherwise.
+fn charged_report<'a>(
+    chosen: &'a [Option<StageRun>],
+    serial: &'a [StageRun],
+    i: usize,
+) -> &'a Report {
+    chosen[i].as_ref().map_or(&serial[i].report, |r| &r.report)
 }
 
 /// How many arrival chunks a fused edge streams through by default: the
@@ -1314,86 +1054,6 @@ fn check_deadline(cfg: &PipelineConfig) {
         if Instant::now() >= deadline {
             Abort::throw(AbortReason::LimitWallTime, "wall-time budget exhausted");
         }
-    }
-}
-
-/// Where the schedule placed a stage and how it executed there.
-struct StagePlacement {
-    wave: usize,
-    branch: usize,
-    concurrent: bool,
-    streamed: bool,
-}
-
-fn stage_outcome(
-    cfg: &PipelineConfig,
-    index: usize,
-    stage: &Stage,
-    run: StageRun,
-    placement: StagePlacement,
-    serial_runtime_ps: Time,
-    matches_serial: bool,
-) -> StageOutcome {
-    StageOutcome {
-        spec: stage.spec,
-        inputs: stage.inputs.clone(),
-        wave: placement.wave,
-        branch: placement.branch,
-        concurrent: placement.concurrent,
-        streamed: placement.streamed,
-        serial_runtime_ps,
-        matches_serial,
-        // The digest-corruption fault point: the artifact records a
-        // digest that no longer matches the (correct) relation, which an
-        // `assertions.stage_digests` block then catches at assembly.
-        output_digest: relation_digest(&run.projected)
-            ^ mondrian_core::fault::digest_xor(cfg.fault.as_deref(), index),
-        input_rows: run.input_rows,
-        output_rows: run.projected.len(),
-        reference_ok: run.reference_ok,
-        report: run.report,
-    }
-}
-
-/// A wave charged under the serial schedule (singleton waves, fallbacks,
-/// and every wave of a serial run).
-fn serial_wave(
-    w: usize,
-    wave_branches: &[usize],
-    dag: &Dag,
-    serial: &[StageRun],
-    total_vaults: u32,
-) -> WaveReport {
-    let mut serdes = SerDesStats::default();
-    let mut branches = Vec::with_capacity(wave_branches.len());
-    let mut sum: Time = 0;
-    for &b in wave_branches {
-        let mut mesh = MeshStats::default();
-        let mut runtime: Time = 0;
-        for &i in &dag.branches[b] {
-            mesh.merge(&serial[i].report.mesh_totals);
-            serdes.merge(&serial[i].report.serdes_totals);
-            runtime += serial[i].report.runtime_ps;
-        }
-        sum += runtime;
-        branches.push(BranchSchedule {
-            branch: b,
-            stages: dag.branches[b].clone(),
-            first_vault: 0,
-            vaults: total_vaults,
-            runtime_ps: runtime,
-            critical: false,
-            mesh,
-        });
-    }
-    mark_critical(&mut branches);
-    WaveReport {
-        wave: w,
-        concurrent: false,
-        runtime_ps: sum,
-        serial_runtime_ps: sum,
-        branches,
-        serdes,
     }
 }
 
@@ -1921,20 +1581,17 @@ mod tests {
         for system in [SystemKind::Mondrian, SystemKind::Cpu] {
             let mut cfg = PipelineConfig::tiny(system);
             cfg.concurrency = Concurrency::Auto;
-            let SerialPass { dag, source, serial, outputs } =
-                pipeline.serial_pass(&cfg, &ExecCache::default(), "", &());
-            let plan = pipeline.plan(&cfg, &dag, &serial, &outputs);
+            let pass = pipeline.serial_pass(&cfg, &ExecCache::default(), "", &());
+            let plan = pipeline.plan(&cfg, &pass);
             assert!(plan.waves.is_empty(), "{system}: the plan keeps the equal split");
             assert!(!plan.edges.is_empty(), "{system}: the plan retunes chunk counts");
             let keys = |memo: &RunMemo| -> HashSet<RunKey> {
                 memo.runs.lock().unwrap().keys().copied().collect()
             };
-            let obs = Observer { label: "", sink: &() };
 
             // The default candidate alone, on its own memo.
             let default = RunMemo::default();
-            pipeline
-                .exec_stream_schedule(&cfg, &dag, &source, &serial, &outputs, obs, None, &default);
+            pipeline.execute(&cfg, &pass, None, &default);
             let default_keys = keys(&default);
             assert!(
                 default_keys.iter().any(|&(_, lease, chunks)| lease.is_some() && chunks.is_none()),
@@ -1942,7 +1599,9 @@ mod tests {
             );
 
             let memo = RunMemo::default();
-            let report = pipeline.run_auto(&cfg, &dag, &source, serial, outputs, obs, &memo);
+            let exec = pipeline.execute(&cfg, &pass, None, &memo);
+            let (exec, planned) = pipeline.race(&cfg, &pass, exec, &memo);
+            let report = pipeline.assemble(&cfg, pass, exec, Some(planned));
             assert!(report.verified(), "{system}: auto run failed");
             let auto_keys = keys(&memo);
             // Every execution was simulated exactly once ...

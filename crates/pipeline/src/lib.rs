@@ -15,27 +15,38 @@
 //! output; multi-input stages name every feeder edge explicitly.
 //!
 //! Because the paper's vaults are independent execution partitions, the
-//! executor can also **lease the machine out**: under
-//! [`Concurrency::Branch`], independent DAG branches (e.g. a join's two
-//! input chains) run concurrently on disjoint vault partitions, joined at
-//! wave barriers, with the serial schedule kept as the reference executor
-//! the concurrent one is verified against — every partitioned stage's
-//! output must be byte-identical to the serial run, and a wave only
-//! charges the concurrent makespan when it beats the serial schedule.
+//! executor can also **lease the machine out**. Every run starts with the
+//! serial pass — each stage on the whole machine, in stage order — which
+//! is the reference every schedule is verified against. One schedule
+//! executor then runs four steps over it, and the [`Concurrency`] mode is
+//! data that decides which of them do work:
 //!
-//! [`Concurrency::Stream`] adds **intra-stage pipelining** on top:
-//! eligible producer→consumer edges ([`Dag::fused_pairs`]) chunk the
-//! producer's output relation through a bounded channel into the
-//! consumer's partition phase, overlapping the producer's probe/output
-//! phase with the consumer's histogram/scatter rounds instead of
-//! materializing the relation at a wave barrier. Streamed stages verify
-//! byte-identical to the serial reference too, and a per-pair fallback
-//! keeps the streamed schedule never charged slower than the branch one.
+//! 1. **Leases** (all but [`Concurrency::Serial`]): independent DAG
+//!    branches of one wave (e.g. a join's two input chains) run
+//!    concurrently on disjoint vault partitions, joined at a barrier. A
+//!    wave charges the concurrent layout only when it beats the serial
+//!    one.
+//! 2. **Streams** ([`Concurrency::Stream`] and [`Concurrency::Auto`]):
+//!    eligible producer→consumer edges ([`Dag::fused_pairs`]) chunk the
+//!    producer's output relation through a bounded channel into the
+//!    consumer's partition phase instead of materializing it at a wave
+//!    barrier.
+//! 3. **Timeline**: the waves are walked on one clock, overlapping each
+//!    streamed producer's probe/output phase with its consumer's
+//!    histogram/scatter rounds; a per-pair fallback keeps the streamed
+//!    schedule never charged slower than the branch one.
+//! 4. **Reports**: each wave's branch table and traffic totals are built
+//!    once, from the runs actually charged.
+//!
+//! [`Concurrency::Auto`] runs the executor a second time with the
+//! cost-model planner's leases and chunk counts ([`plan`]) and charges
+//! the faster of the two.
 //!
 //! Every stage is verified against the engine's own functional check and
 //! the stage's pure functional semantics
-//! ([`StageSpec::reference_output`]); branch runs add the
-//! serial-equivalence check on top.
+//! ([`StageSpec::reference_output`]); leased and streamed runs add the
+//! serial-equivalence check on top: their output must be byte-identical
+//! to the serial run's.
 //!
 //! # Quickstart
 //!

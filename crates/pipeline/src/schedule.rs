@@ -57,6 +57,14 @@ impl Concurrency {
             Concurrency::Auto => "auto",
         }
     }
+
+    /// The mode spelled `name` (the inverse of [`Concurrency::name`]), or
+    /// `None` for an unknown spelling.
+    pub fn from_name(name: &str) -> Option<Concurrency> {
+        [Concurrency::Serial, Concurrency::Branch, Concurrency::Stream, Concurrency::Auto]
+            .into_iter()
+            .find(|c| c.name() == name)
+    }
 }
 
 /// The stage a pipeline input edge reads, if any (`Source` edges read
@@ -205,6 +213,18 @@ impl Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn concurrency_names_round_trip() {
+        for mode in
+            [Concurrency::Serial, Concurrency::Branch, Concurrency::Stream, Concurrency::Auto]
+        {
+            assert_eq!(Concurrency::from_name(mode.name()), Some(mode));
+        }
+        for unknown in ["warp", "", "Serial", "auto "] {
+            assert_eq!(Concurrency::from_name(unknown), None, "{unknown:?}");
+        }
+    }
 
     fn two_branch_join() -> Vec<Stage> {
         vec![

@@ -2,11 +2,17 @@
 //! byte-identical stage outputs and a monotone non-increasing makespan
 //! versus the serial reference executor, across the four representative
 //! systems (CPU, NMP-rand, NMP-seq, Mondrian — covering both probe
-//! families and both partitioning mechanisms).
+//! families and both partitioning mechanisms). The example DAGs also
+//! check, in every concurrency mode, the schedule report's accounting
+//! and the wave events a run emits.
+
+use std::sync::{Mutex, OnceLock};
 
 use mondrian_core::SystemKind;
+use mondrian_noc::{MeshStats, SerDesStats};
+use mondrian_obs::{ProgressEvent, ProgressSink};
 use mondrian_pipeline::{
-    BuildSide, Concurrency, Pipeline, PipelineConfig, Stage, StageInput, StageSpec,
+    BuildSide, Concurrency, Pipeline, PipelineConfig, PipelineReport, Stage, StageInput, StageSpec,
 };
 use proptest::prelude::*;
 
@@ -181,4 +187,130 @@ fn concurrent_waves_lease_disjoint_partitions() {
     // Makespan is the sum of charged wave times.
     let sum: u64 = report.schedule.waves.iter().map(|w| w.runtime_ps).sum();
     assert_eq!(report.makespan_ps(), sum);
+}
+
+/// The stage lists of the three example DAG manifests
+/// (`examples/manifests/{branch_join,cogroup_union,stream_chain}.toml`),
+/// with their tuples per vault and seed.
+fn example_dags() -> [(&'static str, Pipeline, usize, u64); 3] {
+    [
+        ("branch_join", two_branch_pipeline(10, 0, 3, 0), 128, 7),
+        ("cogroup_union", multi_input_wave_pipeline(10, 3, 3), 96, 11),
+        (
+            "stream_chain",
+            Pipeline::from_stages(vec![
+                Stage::chained(StageSpec::Filter { modulus: 10, remainder: 0 }),
+                Stage::chained(StageSpec::GroupByKey),
+                Stage::chained(StageSpec::Map { key_mul: 1, key_add: 1 }),
+                Stage::chained(StageSpec::SortByKey),
+            ]),
+            128,
+            7,
+        ),
+    ]
+}
+
+/// One example run: its label, report, and the wave events it emitted.
+type ExampleRun = (String, PipelineReport, Vec<ProgressEvent>);
+
+/// Every example DAG in every concurrency mode on the tiny topology of
+/// CPU, NMP-perm and Mondrian (both partitioning mechanisms), run once
+/// and shared by the tests that inspect them.
+fn example_runs() -> &'static [ExampleRun] {
+    #[derive(Default)]
+    struct Collect(Mutex<Vec<ProgressEvent>>);
+    impl ProgressSink for Collect {
+        fn emit(&self, _run: &str, event: &ProgressEvent) {
+            if matches!(event, ProgressEvent::WaveCompleted { .. }) {
+                self.0.lock().unwrap().push(event.clone());
+            }
+        }
+    }
+    static RUNS: OnceLock<Vec<ExampleRun>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let mut runs = Vec::new();
+        for (name, pipeline, tpv, seed) in example_dags() {
+            for system in [SystemKind::Cpu, SystemKind::NmpPerm, SystemKind::Mondrian] {
+                for mode in [
+                    Concurrency::Serial,
+                    Concurrency::Branch,
+                    Concurrency::Stream,
+                    Concurrency::Auto,
+                ] {
+                    let mut cfg = PipelineConfig::tiny(system);
+                    cfg.tuples_per_vault = tpv;
+                    cfg.seed = seed;
+                    cfg.concurrency = mode;
+                    let sink = Collect::default();
+                    let report = pipeline.run_observed(&cfg, &Default::default(), "", &sink);
+                    let run = format!("{name} {system} {mode:?}");
+                    assert!(report.verified(), "{run} failed");
+                    runs.push((run, report, sink.0.into_inner().unwrap()));
+                }
+            }
+        }
+        runs
+    })
+}
+
+/// Progress events report the schedule the artifact charges: one
+/// `wave_completed` per wave, in wave order, in every mode.
+#[test]
+fn wave_events_match_the_charged_schedule_in_every_mode() {
+    for (run, report, events) in example_runs() {
+        let expected: Vec<ProgressEvent> = report
+            .schedule
+            .waves
+            .iter()
+            .map(|w| ProgressEvent::WaveCompleted {
+                wave: w.wave,
+                concurrent: w.concurrent,
+                runtime_ps: w.runtime_ps,
+            })
+            .collect();
+        assert_eq!(events, &expected, "{run}");
+    }
+}
+
+/// The schedule report's accounting invariants hold in every mode.
+#[test]
+fn schedule_reports_hold_their_invariants_in_every_mode() {
+    let total_vaults = PipelineConfig::tiny(SystemKind::Cpu).system_config().total_vaults();
+    for (run, report, _) in example_runs() {
+        let schedule = &report.schedule;
+        let wave_sum: u64 = schedule.waves.iter().map(|w| w.runtime_ps).sum();
+        assert_eq!(schedule.makespan_ps, wave_sum, "{run}: makespan is the sum of the waves");
+        for (w, wave) in schedule.waves.iter().enumerate() {
+            assert_eq!(wave.wave, w, "{run}");
+            let mut serdes = SerDesStats::default();
+            for branch in &wave.branches {
+                let mut mesh = MeshStats::default();
+                for &i in &branch.stages {
+                    mesh.merge(&report.stages[i].report.mesh_totals);
+                    serdes.merge(&report.stages[i].report.serdes_totals);
+                    assert_eq!(report.stages[i].wave, w, "{run}: stage {i}");
+                    assert_eq!(report.stages[i].concurrent, wave.concurrent, "{run}: stage {i}");
+                }
+                assert_eq!(branch.mesh, mesh, "{run}: wave {w} branch {}", branch.branch);
+                let leased = branch.vaults < total_vaults;
+                assert_eq!(leased, wave.concurrent, "{run}: wave {w} branch {}", branch.branch);
+                if !leased {
+                    assert_eq!(branch.first_vault, 0, "{run}");
+                }
+            }
+            assert_eq!(wave.serdes, serdes, "{run}: wave {w}");
+            let max = wave.branches.iter().map(|b| b.runtime_ps).max();
+            let first_max = wave.branches.iter().position(|b| Some(b.runtime_ps) == max);
+            let critical: Vec<usize> =
+                (0..wave.branches.len()).filter(|&b| wave.branches[b].critical).collect();
+            assert_eq!(critical, first_max.into_iter().collect::<Vec<_>>(), "{run}: wave {w}");
+        }
+        match schedule.mode {
+            Concurrency::Serial => {
+                assert!(schedule.fused.is_empty() && !schedule.any_concurrent(), "{run}");
+            }
+            Concurrency::Branch => assert!(schedule.fused.is_empty(), "{run}"),
+            Concurrency::Stream | Concurrency::Auto => {}
+        }
+    }
 }
