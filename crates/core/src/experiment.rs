@@ -823,13 +823,19 @@ impl Experiment {
     // ----- operators ------------------------------------------------------
 
     fn run(mut self) -> Report {
-        // Dispatch through the engine-side operator registry — no
-        // `match OperatorKind` on the execution path.
-        let (verified, summary, output) = crate::opexec::engine_operator(self.op).run(&mut self);
+        let (verified, summary, output) = match self.op {
+            OperatorKind::Scan => self.run_scan(),
+            OperatorKind::Join => self.run_join(),
+            OperatorKind::GroupBy => self.run_groupby(),
+            OperatorKind::Sort => self.run_sort(),
+            OperatorKind::Union => self.run_union(),
+            OperatorKind::Cogroup => self.run_cogroup(),
+            OperatorKind::FlatMap => self.run_flat_map(),
+        };
         self.finish(verified, summary, output)
     }
 
-    pub(crate) fn run_scan(&mut self) -> (bool, String, StageOutput) {
+    fn run_scan(&mut self) -> (bool, String, StageOutput) {
         let input = self.generate_single();
         let pred = self
             .pred
@@ -960,7 +966,7 @@ impl Experiment {
         parts
     }
 
-    pub(crate) fn run_sort(&mut self) -> (bool, String, StageOutput) {
+    fn run_sort(&mut self) -> (bool, String, StageOutput) {
         let scheme = self.partition_scheme();
         let cursor_slot = scheme.parts() as usize;
         let (parts, mut expect) = if let Some(chunks) = self.stream.clone() {
@@ -1000,7 +1006,7 @@ impl Experiment {
         (ok, summary, StageOutput::Tuples(combined))
     }
 
-    pub(crate) fn run_groupby(&mut self) -> (bool, String, StageOutput) {
+    fn run_groupby(&mut self) -> (bool, String, StageOutput) {
         let scheme = self.partition_scheme();
         let cursor_slot = scheme.parts() as usize;
         let (parts, expect) = if let Some(chunks) = self.stream.clone() {
@@ -1123,7 +1129,7 @@ impl Experiment {
         (ok, summary, StageOutput::Groups(got))
     }
 
-    pub(crate) fn run_join(&mut self) -> (bool, String, StageOutput) {
+    fn run_join(&mut self) -> (bool, String, StageOutput) {
         let (r_in, s_in) = self.generate_join();
         let scheme = self.partition_scheme();
         let parts_n = scheme.parts() as usize;
@@ -1336,7 +1342,7 @@ impl Experiment {
     /// chunked across the vaults and each compute unit chains a match-all
     /// scan over each input's chunk, appending to its vault's Result
     /// region — so the simulated traffic is exactly the concatenation's.
-    pub(crate) fn run_union(&mut self) -> (bool, String, StageOutput) {
+    fn run_union(&mut self) -> (bool, String, StageOutput) {
         let rels: Vec<Data> = if self.inputs.is_empty() {
             // Standalone: the configured dataset split into two seeded
             // halves, so the operator is exercised as a true multi-input.
@@ -1421,7 +1427,7 @@ impl Experiment {
     /// stores of a plain scan, so the memory/mesh/SerDes accounting
     /// carries the output-amplification factor, and the captured
     /// [`StageOutput::Expanded`] records it for downstream consumers.
-    pub(crate) fn run_flat_map(&mut self) -> (bool, String, StageOutput) {
+    fn run_flat_map(&mut self) -> (bool, String, StageOutput) {
         let input = self.generate_single();
         let fanout = self.fanout.unwrap_or(2).max(1);
         let pred = self.pred.unwrap_or(ScanPredicate::All);
@@ -1491,7 +1497,7 @@ impl Experiment {
     /// join's two sides), then each partition groups *both* sides by key
     /// — sorted aggregation on the sort-based family, hash aggregation on
     /// the hash-based one — and the per-key groups are paired.
-    pub(crate) fn run_cogroup(&mut self) -> (bool, String, StageOutput) {
+    fn run_cogroup(&mut self) -> (bool, String, StageOutput) {
         let (a_full, b_full): (Data, Data) = match self.inputs.len() {
             2 => (self.inputs[0].clone(), self.inputs[1].clone()),
             0 => {

@@ -252,7 +252,7 @@ impl Pipeline {
         // stage's engine simulation — they consume the same inputs and
         // only meet at the final comparison.
         let mut outputs: Vec<Rel> = Vec::new();
-        let mut serial: Vec<StageRun> = Vec::new();
+        let mut serial: Vec<StageEntry> = Vec::new();
         // Non-tick events consumed by completed stages: the run-wide
         // `max_events` budget is metered here, at stage boundaries, and
         // the in-flight stage's remainder is enforced inside its own
@@ -287,7 +287,8 @@ impl Pipeline {
             // changed stage misses (new spec or new input digest), and
             // the divergent digests cascade downstream.
             let stage_key = cache.stage_key(cfg, stage, &inputs, build.as_deref());
-            let stored = stage_key.as_deref().and_then(|key| cache.load_stage_run(key));
+            let stored =
+                stage_key.as_deref().and_then(|key| cache.backing.as_ref()?.load_stage(key));
             let run = if let Some(run) = stored {
                 run
             } else {
@@ -317,8 +318,8 @@ impl Pipeline {
                     run.reference_ok = run.projected[..] == expected[..];
                     run
                 };
-                if let Some(key) = &stage_key {
-                    cache.save_stage_run(key, &run);
+                if let (Some(key), Some(store)) = (&stage_key, &cache.backing) {
+                    store.save_stage(key, &run);
                 }
                 run
             };
@@ -358,7 +359,7 @@ impl Pipeline {
         let n = self.stages.len();
         let base = cfg.system_config();
         let total_vaults = base.total_vaults();
-        let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
+        let mut chosen: Vec<Option<StageEntry>> = (0..n).map(|_| None).collect();
         let mut matches = vec![true; n];
 
         // 1. Leases: the branches of a multi-branch wave run on disjoint
@@ -390,7 +391,7 @@ impl Pipeline {
             // threads — the simulation of each branch is self-contained
             // and deterministic, so the merged result is byte-identical to
             // the in-order execution regardless of thread scheduling.
-            let run_branch = |slot: usize, b: usize| -> Vec<StageRun> {
+            let run_branch = |slot: usize, b: usize| -> Vec<StageEntry> {
                 dag.branches[b]
                     .iter()
                     .map(|&i| {
@@ -404,7 +405,7 @@ impl Pipeline {
                     })
                     .collect()
             };
-            let branch_runs: Vec<Vec<StageRun>> = if cfg.threads > 1 {
+            let branch_runs: Vec<Vec<StageEntry>> = if cfg.threads > 1 {
                 // Branch-level threads spend the whole per-run budget:
                 // each branch simulates on one thread and at most
                 // `cfg.threads` branches run at once. Slots are handed out
@@ -414,7 +415,7 @@ impl Pipeline {
                 // steal order never reaches the report.
                 let workers = cfg.threads.min(wave_branches.len());
                 let queue = mondrian_sim::StealQueue::seed(0..wave_branches.len(), workers);
-                let mut runs: Vec<Option<Vec<StageRun>>> =
+                let mut runs: Vec<Option<Vec<StageEntry>>> =
                     (0..wave_branches.len()).map(|_| None).collect();
                 let slots = Mutex::new(&mut runs);
                 std::thread::scope(|scope| {
@@ -874,7 +875,7 @@ struct PairExec {
     /// The consumer's slot duration under the materialized schedule.
     unfused_ps: Time,
     /// The streamed run, taken when the pair charges it.
-    run: Option<StageRun>,
+    run: Option<StageEntry>,
 }
 
 impl PairExec {
@@ -900,7 +901,7 @@ impl PairExec {
 struct SchedExec {
     /// Per stage: the scheduled (leased or streamed) run the schedule
     /// charged, or `None` where it charged the serial run.
-    chosen: Vec<Option<StageRun>>,
+    chosen: Vec<Option<StageEntry>>,
     /// Per stage: whether every scheduled run matched the serial output.
     matches: Vec<bool>,
     /// Per stage: whether its fused edge charged the streamed run.
@@ -918,8 +919,8 @@ impl SchedExec {
 /// The engine report a schedule charges for stage `i`: its scheduled run
 /// if one was charged, the serial run otherwise.
 fn charged_report<'a>(
-    chosen: &'a [Option<StageRun>],
-    serial: &'a [StageRun],
+    chosen: &'a [Option<StageEntry>],
+    serial: &'a [StageEntry],
     i: usize,
 ) -> &'a Report {
     chosen[i].as_ref().map_or(&serial[i].report, |r| &r.report)
@@ -944,7 +945,7 @@ fn chunk_stream(rel: &Rel, chunks: usize) -> Vec<Rel> {
 /// Extracts a streamed run's per-chunk partition rounds and its time
 /// past the last round. `None` when the engine path recorded no stream
 /// info — the caller falls back to the materialized slot.
-fn stream_rounds(run: &StageRun) -> Option<(Vec<Time>, Time)> {
+fn stream_rounds(run: &StageEntry) -> Option<(Vec<Time>, Time)> {
     let info = run.report.stream.as_ref()?;
     let spans = info.chunk_partition_ps.clone();
     let rest = run.report.runtime_ps.saturating_sub(spans.iter().sum::<Time>());
@@ -956,7 +957,7 @@ fn stream_rounds(run: &StageRun) -> Option<(Vec<Time>, Time)> {
 struct SerialPass {
     dag: Dag,
     source: Rel,
-    serial: Vec<StageRun>,
+    serial: Vec<StageEntry>,
     outputs: Vec<Rel>,
 }
 
@@ -977,14 +978,14 @@ type RunKey = (usize, Option<PartitionSpec>, Option<usize>);
 /// them share a key.
 #[derive(Default)]
 struct RunMemo {
-    runs: Mutex<HashMap<RunKey, StageRun>>,
+    runs: Mutex<HashMap<RunKey, StageEntry>>,
     /// Executions actually simulated (misses).
     simulated: AtomicU64,
 }
 
 impl RunMemo {
     /// The memoized run for `key`, simulating it on a miss.
-    fn run(&self, key: RunKey, simulate: impl FnOnce() -> StageRun) -> StageRun {
+    fn run(&self, key: RunKey, simulate: impl FnOnce() -> StageEntry) -> StageEntry {
         if let Some(run) = self.runs.lock().expect("memo poisoned").get(&key) {
             return run.clone();
         }
@@ -993,15 +994,6 @@ impl RunMemo {
         self.runs.lock().expect("memo poisoned").insert(key, run.clone());
         run
     }
-}
-
-/// One executed stage (on the whole machine or on a lease).
-#[derive(Clone)]
-struct StageRun {
-    input_rows: usize,
-    report: Report,
-    projected: Rel,
-    reference_ok: bool,
 }
 
 /// Runs one stage's engine simulation on `sys_cfg` and projects its
@@ -1018,7 +1010,7 @@ fn run_stage_engine(
     inputs: Vec<Rel>,
     build: Option<Rel>,
     stream: Option<Vec<Rel>>,
-) -> StageRun {
+) -> StageEntry {
     let input_rows = inputs.iter().map(|r| r.len()).sum();
     let mut edges = inputs.into_iter();
     let mut builder = ExperimentBuilder::new(stage.spec.basic_operator())
@@ -1044,7 +1036,7 @@ fn run_stage_engine(
     }
     let report = builder.run();
     let projected: Rel = stage.spec.project_output(&report.output).into();
-    StageRun { input_rows, report, projected, reference_ok: false }
+    StageEntry { input_rows, reference_ok: false, report, projected }
 }
 
 /// Cooperative wall-time checkpoint: unwinds with a structured
@@ -1097,9 +1089,9 @@ fn resolve_build(spec: &StageSpec, outputs: &[Rel]) -> Option<Rel> {
 /// generated tuples, independent of the evaluated system.
 type SourceKey = (bool, usize, u64, Option<u64>, Option<u64>);
 
-/// One persisted serial-pass stage result: exactly the state the serial
-/// reference pass produces for a stage, so a backed [`ExecCache`] can
-/// serve the stage without running either the engine or the reference
+/// One executed stage, on the whole machine or on a lease. A serial-pass
+/// entry is exactly what a backed [`ExecCache`] persists, so a stored
+/// stage is served without running either the engine or the reference
 /// executor.
 #[derive(Debug, Clone)]
 pub struct StageEntry {
@@ -1245,30 +1237,6 @@ impl ExecCache {
             build.map(relation_digest),
         );
         Some(format!("stage1|{:?}", key).into_bytes())
-    }
-
-    fn load_stage_run(&self, key: &[u8]) -> Option<StageRun> {
-        let entry = self.backing.as_ref()?.load_stage(key)?;
-        Some(StageRun {
-            input_rows: entry.input_rows,
-            report: entry.report,
-            projected: entry.projected,
-            reference_ok: entry.reference_ok,
-        })
-    }
-
-    fn save_stage_run(&self, key: &[u8], run: &StageRun) {
-        if let Some(store) = &self.backing {
-            store.save_stage(
-                key,
-                &StageEntry {
-                    input_rows: run.input_rows,
-                    reference_ok: run.reference_ok,
-                    report: run.report.clone(),
-                    projected: run.projected.clone(),
-                },
-            );
-        }
     }
 
     /// Reference outputs served from the cache (memory or backing).

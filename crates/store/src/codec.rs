@@ -1,15 +1,25 @@
-//! A hand-rolled binary codec for the persisted result types.
+//! The binary layout of every persisted result type, declared once.
 //!
-//! The repository deliberately carries no serialization dependency, so the
-//! store encodes the [`PipelineReport`] tree the same way the CLI renders
-//! JSON: by hand, field by field. The format is little-endian,
-//! length-prefixed, and strictly versioned by [`crate::STORE_FORMAT_VERSION`]
-//! — any layout change must bump that constant, which rotates the on-disk
-//! directory instead of attempting migration.
+//! The repository carries no serialization dependency, so each persisted
+//! type states its layout here as an ordered field list (`persist_struct!`)
+//! or an ordered, explicitly tagged variant list (`persist_enum!`). The
+//! one [`Persist`] impl each list expands to both encodes and decodes, so a
+//! writer and a reader can never disagree. Primitives and containers
+//! (`Vec`, `Arc<[T]>`, `Option`, `BTreeMap`, tuples) have one generic impl
+//! each.
 //!
-//! Every decoder returns `Option`: a short buffer, an invalid enum tag, an
-//! implausible length, or malformed UTF-8 yields `None`, which the store
-//! treats as a cache miss (the entry is re-simulated and overwritten).
+//! The format is little-endian: integers at their width, `usize` and
+//! lengths as `u64`, `f64` as its bits, `bool` and `Option` as a 0/1 byte,
+//! enums as a `u8` tag followed by the variant's fields, and sequences,
+//! maps and strings as a length prefix followed by their elements. Any
+//! layout change must bump [`crate::STORE_FORMAT_VERSION`], which rotates
+//! the on-disk directory instead of attempting migration; the layout-pin
+//! test holds the encodings of hand-built samples to a recorded digest.
+//!
+//! Every decode returns `Option`: a short buffer, an unknown tag, a length
+//! prefix longer than the remaining bytes could hold, malformed UTF-8 or
+//! trailing bytes yield `None`, which the store treats as a cache miss
+//! (the entry is re-simulated and overwritten).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +27,6 @@ use std::sync::Arc;
 use mondrian_core::{OperatorKind, PartitionSpec, PhaseOutcome, Report, StreamInfo, SystemKind};
 use mondrian_energy::EnergyBreakdown;
 use mondrian_noc::{MeshStats, SerDesStats};
-use mondrian_ops::reference::JoinRow;
 use mondrian_ops::{Aggregates, OpOutput};
 use mondrian_pipeline::{
     BranchSchedule, BuildSide, Concurrency, FusedEdge, PipelineReport, PlanReport,
@@ -27,52 +36,17 @@ use mondrian_pipeline::{
 use mondrian_sim::{Stat, Stats};
 use mondrian_workloads::Tuple;
 
-/// Byte sink for the encoders.
-pub(crate) struct Enc {
-    buf: Vec<u8>,
-}
+/// A type with one declared binary layout.
+pub(crate) trait Persist: Sized {
+    /// The fewest bytes any value encodes to: bounds a length prefix by
+    /// the bytes left, so a corrupt length cannot reserve huge memory.
+    const MIN_BYTES: usize;
 
-impl Enc {
-    pub(crate) fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
+    /// Appends the encoding of `self`.
+    fn put(&self, out: &mut Vec<u8>);
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn str(&mut self, v: &str) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
-    }
+    /// Reads one value; `None` on any malformed input.
+    fn get(d: &mut Dec) -> Option<Self>;
 }
 
 /// Bounds-checked byte source for the decoders.
@@ -82,846 +56,394 @@ pub(crate) struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    /// Whether every byte was consumed — trailing garbage is corruption.
-    pub(crate) fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
+        let bytes = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(bytes)
+    }
+
+    /// A length prefix of elements at least `min_bytes` long each, rejected
+    /// when the remaining bytes cannot hold that many.
+    fn len(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = <usize as Persist>::get(self)?;
+        (n.checked_mul(min_bytes.max(1))? <= self.buf.len() - self.pos).then_some(n)
+    }
+}
+
+/// Encodes one entry payload.
+pub(crate) fn encode<T: Persist>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
+}
+
+/// Encodes a sequence payload with the layout of `Vec<T>`.
+pub(crate) fn encode_seq<T: Persist>(items: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_seq(items, &mut out);
+    out
+}
+
+/// Decodes one entry payload; `None` on any corruption, including
+/// trailing bytes.
+pub(crate) fn decode<T: Persist>(buf: &[u8]) -> Option<T> {
+    let mut d = Dec { buf, pos: 0 };
+    let value = T::get(&mut d)?;
+    (d.pos == buf.len()).then_some(value)
+}
+
+macro_rules! persist_int {
+    ($($t:ty),*) => {$(
+        impl Persist for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(d: &mut Dec) -> Option<Self> {
+                Some(<$t>::from_le_bytes(d.take(Self::MIN_BYTES)?.try_into().ok()?))
+            }
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
+    )*};
+}
 
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
+persist_int!(u8, u32, u64, u128);
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
+/// A primitive stored as another primitive: `$to` converts for
+/// encoding, and `$from` converts back, rejecting values with `None`.
+macro_rules! persist_via {
+    ($t:ty as $raw:ty, $to:expr, $from:expr) => {
+        impl Persist for $t {
+            const MIN_BYTES: usize = <$raw as Persist>::MIN_BYTES;
 
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
+            fn put(&self, out: &mut Vec<u8>) {
+                $to(*self).put(out);
+            }
 
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
+            fn get(d: &mut Dec) -> Option<Self> {
+                $from(<$raw as Persist>::get(d)?)
+            }
         }
+    };
+}
+
+persist_via!(usize as u64, |v: usize| v as u64, |v| usize::try_from(v).ok());
+persist_via!(f64 as u64, f64::to_bits, |v| Some(f64::from_bits(v)));
+persist_via!(bool as u8, u8::from, |v| match v {
+    0 => Some(false),
+    1 => Some(true),
+    _ => None,
+});
+
+fn put_str(s: &str, out: &mut Vec<u8>) {
+    s.len().put(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+impl Persist for String {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
     }
 
-    fn str(&mut self) -> Option<String> {
-        let len = self.len(1)?;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+    fn get(d: &mut Dec) -> Option<Self> {
+        let len = d.len(1)?;
+        String::from_utf8(d.take(len)?.to_vec()).ok()
+    }
+}
+
+fn put_seq<T: Persist>(items: &[T], out: &mut Vec<u8>) {
+    items.len().put(out);
+    for item in items {
+        item.put(out);
+    }
+}
+
+impl<T: Persist> Persist for Vec<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self, out);
     }
 
-    /// A length prefix, sanity-bounded by the remaining bytes: a corrupted
-    /// length field must fail the decode, not attempt a huge allocation.
-    fn len(&mut self, min_elem_bytes: usize) -> Option<usize> {
-        let n = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
-        if n.checked_mul(min_elem_bytes.max(1))? > remaining {
-            return None;
+    fn get(d: &mut Dec) -> Option<Self> {
+        let n = d.len(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(d)?);
         }
-        Some(n)
+        Some(items)
     }
 }
 
-fn w_tuple(e: &mut Enc, t: &Tuple) {
-    e.u64(t.key);
-    e.u64(t.payload);
-}
+impl<T: Persist> Persist for Arc<[T]> {
+    const MIN_BYTES: usize = 8;
 
-fn r_tuple(d: &mut Dec) -> Option<Tuple> {
-    Some(Tuple { key: d.u64()?, payload: d.u64()? })
-}
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self, out);
+    }
 
-fn w_tuples(e: &mut Enc, rel: &[Tuple]) {
-    e.usize(rel.len());
-    for t in rel {
-        w_tuple(e, t);
+    fn get(d: &mut Dec) -> Option<Self> {
+        Vec::<T>::get(d).map(Into::into)
     }
 }
 
-fn r_tuples(d: &mut Dec) -> Option<Vec<Tuple>> {
-    let n = d.len(16)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r_tuple(d)?);
-    }
-    Some(v)
-}
+impl<T: Persist> Persist for Option<T> {
+    const MIN_BYTES: usize = 1;
 
-fn w_system(e: &mut Enc, s: SystemKind) {
-    e.u8(match s {
-        SystemKind::Cpu => 0,
-        SystemKind::Nmp => 1,
-        SystemKind::NmpPerm => 2,
-        SystemKind::NmpRand => 3,
-        SystemKind::NmpSeq => 4,
-        SystemKind::MondrianNoperm => 5,
-        SystemKind::Mondrian => 6,
-    });
-}
-
-fn r_system(d: &mut Dec) -> Option<SystemKind> {
-    Some(match d.u8()? {
-        0 => SystemKind::Cpu,
-        1 => SystemKind::Nmp,
-        2 => SystemKind::NmpPerm,
-        3 => SystemKind::NmpRand,
-        4 => SystemKind::NmpSeq,
-        5 => SystemKind::MondrianNoperm,
-        6 => SystemKind::Mondrian,
-        _ => return None,
-    })
-}
-
-fn w_op_kind(e: &mut Enc, op: OperatorKind) {
-    e.u8(match op {
-        OperatorKind::Scan => 0,
-        OperatorKind::Join => 1,
-        OperatorKind::GroupBy => 2,
-        OperatorKind::Sort => 3,
-        OperatorKind::Union => 4,
-        OperatorKind::Cogroup => 5,
-        OperatorKind::FlatMap => 6,
-    });
-}
-
-fn r_op_kind(d: &mut Dec) -> Option<OperatorKind> {
-    Some(match d.u8()? {
-        0 => OperatorKind::Scan,
-        1 => OperatorKind::Join,
-        2 => OperatorKind::GroupBy,
-        3 => OperatorKind::Sort,
-        4 => OperatorKind::Union,
-        5 => OperatorKind::Cogroup,
-        6 => OperatorKind::FlatMap,
-        _ => return None,
-    })
-}
-
-fn w_concurrency(e: &mut Enc, c: Concurrency) {
-    e.u8(match c {
-        Concurrency::Serial => 0,
-        Concurrency::Branch => 1,
-        Concurrency::Stream => 2,
-        Concurrency::Auto => 3,
-    });
-}
-
-fn r_concurrency(d: &mut Dec) -> Option<Concurrency> {
-    Some(match d.u8()? {
-        0 => Concurrency::Serial,
-        1 => Concurrency::Branch,
-        2 => Concurrency::Stream,
-        3 => Concurrency::Auto,
-        _ => return None,
-    })
-}
-
-fn w_stage_input(e: &mut Enc, i: StageInput) {
-    match i {
-        StageInput::Prev => e.u8(0),
-        StageInput::Source => e.u8(1),
-        StageInput::Stage(j) => {
-            e.u8(2);
-            e.usize(j);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
         }
     }
+
+    fn get(d: &mut Dec) -> Option<Self> {
+        Some(if bool::get(d)? { Some(T::get(d)?) } else { None })
+    }
 }
 
-fn r_stage_input(d: &mut Dec) -> Option<StageInput> {
-    Some(match d.u8()? {
-        0 => StageInput::Prev,
-        1 => StageInput::Source,
-        2 => StageInput::Stage(d.usize()?),
-        _ => return None,
-    })
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+
+    fn get(d: &mut Dec) -> Option<Self> {
+        Vec::<(K, V)>::get(d).map(BTreeMap::from_iter)
+    }
 }
 
-fn w_stage_spec(e: &mut Enc, s: &StageSpec) {
-    match *s {
-        StageSpec::Filter { modulus, remainder } => {
-            e.u8(0);
-            e.u64(modulus);
-            e.u64(remainder);
+macro_rules! persist_tuple {
+    ($($v:ident: $t:ident),*) => {
+        impl<$($t: Persist),*> Persist for ($($t,)*) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                let ($($v,)*) = self;
+                $($v.put(out);)*
+            }
+
+            fn get(d: &mut Dec) -> Option<Self> {
+                Some(($($t::get(d)?,)*))
+            }
         }
-        StageSpec::LookupKey { key } => {
-            e.u8(1);
-            e.u64(key);
+    };
+}
+
+persist_tuple!(a: A, b: B);
+persist_tuple!(a: A, b: B, c: C);
+
+/// Declares a struct's layout: its fields in encoding order. The list must
+/// name every field, or the decoder's struct literal does not compile.
+macro_rules! persist_struct {
+    ($ty:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        impl Persist for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$t as Persist>::MIN_BYTES)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+
+            fn get(d: &mut Dec) -> Option<Self> {
+                Some($ty { $($f: <$t as Persist>::get(d)?),* })
+            }
         }
-        StageSpec::Map { key_mul, key_add } => {
-            e.u8(2);
-            e.u64(key_mul);
-            e.u64(key_add);
+    };
+}
+
+const fn min_of(xs: &[usize]) -> usize {
+    let (mut min, mut i) = (usize::MAX, 0);
+    while i < xs.len() {
+        if xs[i] < min {
+            min = xs[i];
         }
-        StageSpec::MapValues { mul, add } => {
-            e.u8(3);
-            e.u64(mul);
-            e.u64(add);
-        }
-        StageSpec::Union => e.u8(4),
-        StageSpec::FlatMap { fanout } => {
-            e.u8(5);
-            e.u64(fanout);
-        }
-        StageSpec::Cogroup => e.u8(6),
-        StageSpec::GroupByKey => e.u8(7),
-        StageSpec::ReduceByKey => e.u8(8),
-        StageSpec::CountByKey => e.u8(9),
-        StageSpec::AggregateByKey => e.u8(10),
-        StageSpec::SortByKey => e.u8(11),
-        StageSpec::Join { build } => {
-            e.u8(12);
-            match build {
-                BuildSide::Dimension => e.u8(0),
-                BuildSide::Stage(j) => {
-                    e.u8(1);
-                    e.usize(j);
+        i += 1;
+    }
+    min
+}
+
+/// Declares an enum's layout: each variant's `u8` tag, then its fields in
+/// encoding order — one named field for a tuple variant, `{ .. }` for a
+/// struct variant. The match over the variants is exhaustive.
+macro_rules! persist_enum {
+    ($ty:ident {
+        $($tag:literal => $v:ident $(($b:ident: $bt:ty))? $({ $($f:ident: $ft:ty),* })?),* $(,)?
+    }) => {
+        impl Persist for $ty {
+            const MIN_BYTES: usize = 1 + min_of(&[
+                $(0 $(+ <$bt as Persist>::MIN_BYTES)? $($(+ <$ft as Persist>::MIN_BYTES)*)?),*
+            ]);
+
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $(($b))? $({ $($f),* })? => {
+                        ($tag as u8).put(out);
+                        $($b.put(out);)?
+                        $($($f.put(out);)*)?
+                    })*
                 }
             }
-        }
-    }
-}
 
-fn r_stage_spec(d: &mut Dec) -> Option<StageSpec> {
-    Some(match d.u8()? {
-        0 => StageSpec::Filter { modulus: d.u64()?, remainder: d.u64()? },
-        1 => StageSpec::LookupKey { key: d.u64()? },
-        2 => StageSpec::Map { key_mul: d.u64()?, key_add: d.u64()? },
-        3 => StageSpec::MapValues { mul: d.u64()?, add: d.u64()? },
-        4 => StageSpec::Union,
-        5 => StageSpec::FlatMap { fanout: d.u64()? },
-        6 => StageSpec::Cogroup,
-        7 => StageSpec::GroupByKey,
-        8 => StageSpec::ReduceByKey,
-        9 => StageSpec::CountByKey,
-        10 => StageSpec::AggregateByKey,
-        11 => StageSpec::SortByKey,
-        12 => StageSpec::Join {
-            build: match d.u8()? {
-                0 => BuildSide::Dimension,
-                1 => BuildSide::Stage(d.usize()?),
-                _ => return None,
-            },
-        },
-        _ => return None,
-    })
-}
-
-fn w_phase(e: &mut Enc, p: &PhaseOutcome) {
-    e.str(&p.label);
-    e.u64(p.start);
-    e.u64(p.end);
-    e.u64(p.instructions);
-    e.u64(p.simd_ops);
-    e.usize(p.core_busy.len());
-    for &b in &p.core_busy {
-        e.f64(b);
-    }
-    e.u64(p.overflows);
-    e.u64(p.events);
-}
-
-fn r_phase(d: &mut Dec) -> Option<PhaseOutcome> {
-    let label = d.str()?;
-    let start = d.u64()?;
-    let end = d.u64()?;
-    let instructions = d.u64()?;
-    let simd_ops = d.u64()?;
-    let n = d.len(8)?;
-    let mut core_busy = Vec::with_capacity(n);
-    for _ in 0..n {
-        core_busy.push(d.f64()?);
-    }
-    Some(PhaseOutcome {
-        label,
-        start,
-        end,
-        instructions,
-        simd_ops,
-        core_busy,
-        overflows: d.u64()?,
-        events: d.u64()?,
-    })
-}
-
-fn w_energy(e: &mut Enc, b: &EnergyBreakdown) {
-    e.f64(b.cores_j);
-    e.f64(b.llc_j);
-    e.f64(b.dram_dynamic_j);
-    e.f64(b.dram_static_j);
-    e.f64(b.serdes_j);
-    e.f64(b.noc_j);
-}
-
-fn r_energy(d: &mut Dec) -> Option<EnergyBreakdown> {
-    Some(EnergyBreakdown {
-        cores_j: d.f64()?,
-        llc_j: d.f64()?,
-        dram_dynamic_j: d.f64()?,
-        dram_static_j: d.f64()?,
-        serdes_j: d.f64()?,
-        noc_j: d.f64()?,
-    })
-}
-
-fn w_stats(e: &mut Enc, s: &Stats) {
-    e.usize(s.len());
-    for (k, stat) in s.iter() {
-        e.str(k);
-        match stat {
-            Stat::Count(c) => {
-                e.u8(0);
-                e.u64(c);
-            }
-            Stat::Value(v) => {
-                e.u8(1);
-                e.f64(v);
+            fn get(d: &mut Dec) -> Option<Self> {
+                Some(match u8::get(d)? {
+                    $($tag => $ty::$v
+                        $((<$bt as Persist>::get(d)?))?
+                        $({ $($f: <$ft as Persist>::get(d)?),* })?,)*
+                    _ => return None,
+                })
             }
         }
-    }
+    };
 }
 
-fn r_stats(d: &mut Dec) -> Option<Stats> {
-    let n = d.len(17)?;
-    let mut s = Stats::new();
-    for _ in 0..n {
-        let key = d.str()?;
-        let stat = match d.u8()? {
-            0 => Stat::Count(d.u64()?),
-            1 => Stat::Value(d.f64()?),
-            _ => return None,
-        };
-        s.set(&key, stat);
-    }
-    Some(s)
-}
+persist_struct!(Tuple { key: u64, payload: u64 });
 
-fn w_mesh(e: &mut Enc, m: &MeshStats) {
-    e.u64(m.messages);
-    e.u64(m.hops);
-    e.f64(m.bit_mm);
-    e.u64(m.busy_time);
-}
+persist_enum!(SystemKind {
+    0 => Cpu, 1 => Nmp, 2 => NmpPerm, 3 => NmpRand, 4 => NmpSeq, 5 => MondrianNoperm, 6 => Mondrian,
+});
 
-fn r_mesh(d: &mut Dec) -> Option<MeshStats> {
-    Some(MeshStats { messages: d.u64()?, hops: d.u64()?, bit_mm: d.f64()?, busy_time: d.u64()? })
-}
+persist_enum!(OperatorKind {
+    0 => Scan, 1 => Join, 2 => GroupBy, 3 => Sort, 4 => Union, 5 => Cogroup, 6 => FlatMap,
+});
 
-fn w_serdes(e: &mut Enc, s: &SerDesStats) {
-    e.u64(s.packets);
-    e.u64(s.busy_bits);
-    e.u64(s.busy_time);
-}
+persist_enum!(Concurrency { 0 => Serial, 1 => Branch, 2 => Stream, 3 => Auto });
 
-fn r_serdes(d: &mut Dec) -> Option<SerDesStats> {
-    Some(SerDesStats { packets: d.u64()?, busy_bits: d.u64()?, busy_time: d.u64()? })
-}
+persist_enum!(StageInput { 0 => Prev, 1 => Source, 2 => Stage(stage: usize) });
 
-fn w_partition(e: &mut Enc, p: &PartitionSpec) {
-    e.u32(p.index);
-    e.u32(p.first_vault);
-    e.u32(p.vaults);
-    e.u32(p.total_vaults);
-}
+persist_enum!(BuildSide { 0 => Dimension, 1 => Stage(stage: usize) });
 
-fn r_partition(d: &mut Dec) -> Option<PartitionSpec> {
-    Some(PartitionSpec {
-        index: d.u32()?,
-        first_vault: d.u32()?,
-        vaults: d.u32()?,
-        total_vaults: d.u32()?,
-    })
-}
+persist_enum!(StageSpec {
+    0 => Filter { modulus: u64, remainder: u64 },
+    1 => LookupKey { key: u64 },
+    2 => Map { key_mul: u64, key_add: u64 },
+    3 => MapValues { mul: u64, add: u64 },
+    4 => Union,
+    5 => FlatMap { fanout: u64 },
+    6 => Cogroup, 7 => GroupByKey, 8 => ReduceByKey, 9 => CountByKey, 10 => AggregateByKey,
+    11 => SortByKey,
+    12 => Join { build: BuildSide },
+});
 
-fn w_aggregates(e: &mut Enc, a: &Aggregates) {
-    e.u64(a.count);
-    e.u64(a.sum);
-    e.u128(a.sum_sq);
-    e.u64(a.min);
-    e.u64(a.max);
-}
+persist_struct!(PhaseOutcome {
+    label: String, start: u64, end: u64, instructions: u64, simd_ops: u64,
+    core_busy: Vec<f64>, overflows: u64, events: u64,
+});
 
-fn r_aggregates(d: &mut Dec) -> Option<Aggregates> {
-    Some(Aggregates {
-        count: d.u64()?,
-        sum: d.u64()?,
-        sum_sq: d.u128()?,
-        min: d.u64()?,
-        max: d.u64()?,
-    })
-}
+persist_struct!(EnergyBreakdown {
+    cores_j: f64,
+    llc_j: f64,
+    dram_dynamic_j: f64,
+    dram_static_j: f64,
+    serdes_j: f64,
+    noc_j: f64,
+});
 
-fn w_op_output(e: &mut Enc, o: &OpOutput) {
-    match o {
-        OpOutput::Tuples(rel) => {
-            e.u8(0);
-            w_tuples(e, rel);
-        }
-        OpOutput::Expanded { tuples, fanout } => {
-            e.u8(1);
-            w_tuples(e, tuples);
-            e.u64(*fanout);
-        }
-        OpOutput::Groups(groups) => {
-            e.u8(2);
-            e.usize(groups.len());
-            for (&k, a) in groups {
-                e.u64(k);
-                w_aggregates(e, a);
-            }
-        }
-        OpOutput::CoGroups(groups) => {
-            e.u8(3);
-            e.usize(groups.len());
-            for (&k, (a, b)) in groups {
-                e.u64(k);
-                w_aggregates(e, a);
-                w_aggregates(e, b);
-            }
-        }
-        OpOutput::Rows(rows) => {
-            e.u8(4);
-            e.usize(rows.len());
-            for &(k, r, s) in rows {
-                e.u64(k);
-                e.u64(r);
-                e.u64(s);
-            }
+persist_enum!(Stat { 0 => Count(count: u64), 1 => Value(value: f64) });
+
+/// A registry encodes as its sorted `(name, stat)` entries.
+impl Persist for Stats {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for (name, stat) in self.iter() {
+            put_str(name, out);
+            stat.put(out);
         }
     }
-}
 
-fn r_op_output(d: &mut Dec) -> Option<OpOutput> {
-    Some(match d.u8()? {
-        0 => OpOutput::Tuples(r_tuples(d)?),
-        1 => OpOutput::Expanded { tuples: r_tuples(d)?, fanout: d.u64()? },
-        2 => {
-            let n = d.len(48)?;
-            let mut groups = BTreeMap::new();
-            for _ in 0..n {
-                let k = d.u64()?;
-                groups.insert(k, r_aggregates(d)?);
-            }
-            OpOutput::Groups(groups)
+    fn get(d: &mut Dec) -> Option<Self> {
+        let mut stats = Stats::new();
+        for (name, stat) in Vec::<(String, Stat)>::get(d)? {
+            stats.set(&name, stat);
         }
-        3 => {
-            let n = d.len(88)?;
-            let mut groups = BTreeMap::new();
-            for _ in 0..n {
-                let k = d.u64()?;
-                let a = r_aggregates(d)?;
-                let b = r_aggregates(d)?;
-                groups.insert(k, (a, b));
-            }
-            OpOutput::CoGroups(groups)
-        }
-        4 => {
-            let n = d.len(24)?;
-            let mut rows: Vec<JoinRow> = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push((d.u64()?, d.u64()?, d.u64()?));
-            }
-            OpOutput::Rows(rows)
-        }
-        _ => return None,
-    })
-}
-
-fn w_stream_info(e: &mut Enc, s: &Option<StreamInfo>) {
-    match s {
-        None => e.u8(0),
-        Some(info) => {
-            e.u8(1);
-            e.usize(info.chunks);
-            e.usize(info.chunk_partition_ps.len());
-            for &t in &info.chunk_partition_ps {
-                e.u64(t);
-            }
-        }
+        Some(stats)
     }
 }
 
-fn r_stream_info(d: &mut Dec) -> Option<Option<StreamInfo>> {
-    Some(match d.u8()? {
-        0 => None,
-        1 => {
-            let chunks = d.usize()?;
-            let n = d.len(8)?;
-            let mut chunk_partition_ps = Vec::with_capacity(n);
-            for _ in 0..n {
-                chunk_partition_ps.push(d.u64()?);
-            }
-            Some(StreamInfo { chunks, chunk_partition_ps })
-        }
-        _ => return None,
-    })
-}
+persist_struct!(MeshStats { messages: u64, hops: u64, bit_mm: f64, busy_time: u64 });
 
-fn w_report(e: &mut Enc, r: &Report) {
-    w_op_kind(e, r.op);
-    w_system(e, r.system);
-    e.usize(r.phases.len());
-    for p in &r.phases {
-        w_phase(e, p);
-    }
-    e.u64(r.runtime_ps);
-    e.u64(r.instructions);
-    w_energy(e, &r.energy);
-    w_stats(e, &r.stats);
-    e.bool(r.verified);
-    e.u32(r.shuffle_retries);
-    e.str(&r.summary);
-    w_op_output(e, &r.output);
-    w_partition(e, &r.partition);
-    w_mesh(e, &r.mesh_totals);
-    w_serdes(e, &r.serdes_totals);
-    w_stream_info(e, &r.stream);
-}
+persist_struct!(SerDesStats { packets: u64, busy_bits: u64, busy_time: u64 });
 
-fn r_report(d: &mut Dec) -> Option<Report> {
-    let op = r_op_kind(d)?;
-    let system = r_system(d)?;
-    let n = d.len(1)?;
-    let mut phases = Vec::with_capacity(n);
-    for _ in 0..n {
-        phases.push(r_phase(d)?);
-    }
-    Some(Report {
-        op,
-        system,
-        phases,
-        runtime_ps: d.u64()?,
-        instructions: d.u64()?,
-        energy: r_energy(d)?,
-        stats: r_stats(d)?,
-        verified: d.bool()?,
-        shuffle_retries: d.u32()?,
-        summary: d.str()?,
-        output: r_op_output(d)?,
-        partition: r_partition(d)?,
-        mesh_totals: r_mesh(d)?,
-        serdes_totals: r_serdes(d)?,
-        stream: r_stream_info(d)?,
-    })
-}
+persist_struct!(PartitionSpec { index: u32, first_vault: u32, vaults: u32, total_vaults: u32 });
 
-fn w_stage_outcome(e: &mut Enc, s: &StageOutcome) {
-    w_stage_spec(e, &s.spec);
-    e.usize(s.inputs.len());
-    for &i in &s.inputs {
-        w_stage_input(e, i);
-    }
-    e.usize(s.wave);
-    e.usize(s.branch);
-    e.bool(s.concurrent);
-    e.bool(s.streamed);
-    e.u64(s.serial_runtime_ps);
-    e.bool(s.matches_serial);
-    e.u64(s.output_digest);
-    e.usize(s.input_rows);
-    e.usize(s.output_rows);
-    e.bool(s.reference_ok);
-    w_report(e, &s.report);
-}
+persist_struct!(Aggregates { count: u64, sum: u64, sum_sq: u128, min: u64, max: u64 });
 
-fn r_stage_outcome(d: &mut Dec) -> Option<StageOutcome> {
-    let spec = r_stage_spec(d)?;
-    let n = d.len(1)?;
-    let mut inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        inputs.push(r_stage_input(d)?);
-    }
-    Some(StageOutcome {
-        spec,
-        inputs,
-        wave: d.usize()?,
-        branch: d.usize()?,
-        concurrent: d.bool()?,
-        streamed: d.bool()?,
-        serial_runtime_ps: d.u64()?,
-        matches_serial: d.bool()?,
-        output_digest: d.u64()?,
-        input_rows: d.usize()?,
-        output_rows: d.usize()?,
-        reference_ok: d.bool()?,
-        report: r_report(d)?,
-    })
-}
+persist_enum!(OpOutput {
+    0 => Tuples(tuples: Vec<Tuple>),
+    1 => Expanded { tuples: Vec<Tuple>, fanout: u64 },
+    2 => Groups(groups: BTreeMap<u64, Aggregates>),
+    3 => CoGroups(groups: BTreeMap<u64, (Aggregates, Aggregates)>),
+    4 => Rows(rows: Vec<(u64, u64, u64)>),
+});
 
-fn w_branch(e: &mut Enc, b: &BranchSchedule) {
-    e.usize(b.branch);
-    e.usize(b.stages.len());
-    for &s in &b.stages {
-        e.usize(s);
-    }
-    e.u32(b.first_vault);
-    e.u32(b.vaults);
-    e.u64(b.runtime_ps);
-    e.bool(b.critical);
-    w_mesh(e, &b.mesh);
-}
+persist_struct!(StreamInfo { chunks: usize, chunk_partition_ps: Vec<u64> });
 
-fn r_branch(d: &mut Dec) -> Option<BranchSchedule> {
-    let branch = d.usize()?;
-    let n = d.len(8)?;
-    let mut stages = Vec::with_capacity(n);
-    for _ in 0..n {
-        stages.push(d.usize()?);
-    }
-    Some(BranchSchedule {
-        branch,
-        stages,
-        first_vault: d.u32()?,
-        vaults: d.u32()?,
-        runtime_ps: d.u64()?,
-        critical: d.bool()?,
-        mesh: r_mesh(d)?,
-    })
-}
+persist_struct!(Report {
+    op: OperatorKind, system: SystemKind, phases: Vec<PhaseOutcome>,
+    runtime_ps: u64, instructions: u64, energy: EnergyBreakdown, stats: Stats,
+    verified: bool, shuffle_retries: u32, summary: String, output: OpOutput,
+    partition: PartitionSpec, mesh_totals: MeshStats, serdes_totals: SerDesStats,
+    stream: Option<StreamInfo>,
+});
 
-fn w_wave(e: &mut Enc, w: &WaveReport) {
-    e.usize(w.wave);
-    e.bool(w.concurrent);
-    e.u64(w.runtime_ps);
-    e.u64(w.serial_runtime_ps);
-    e.usize(w.branches.len());
-    for b in &w.branches {
-        w_branch(e, b);
-    }
-    w_serdes(e, &w.serdes);
-}
+persist_struct!(StageOutcome {
+    spec: StageSpec, inputs: Vec<StageInput>, wave: usize, branch: usize,
+    concurrent: bool, streamed: bool, serial_runtime_ps: u64, matches_serial: bool,
+    output_digest: u64, input_rows: usize, output_rows: usize, reference_ok: bool,
+    report: Report,
+});
 
-fn r_wave(d: &mut Dec) -> Option<WaveReport> {
-    let wave = d.usize()?;
-    let concurrent = d.bool()?;
-    let runtime_ps = d.u64()?;
-    let serial_runtime_ps = d.u64()?;
-    let n = d.len(1)?;
-    let mut branches = Vec::with_capacity(n);
-    for _ in 0..n {
-        branches.push(r_branch(d)?);
-    }
-    Some(WaveReport {
-        wave,
-        concurrent,
-        runtime_ps,
-        serial_runtime_ps,
-        branches,
-        serdes: r_serdes(d)?,
-    })
-}
+persist_struct!(BranchSchedule {
+    branch: usize, stages: Vec<usize>, first_vault: u32, vaults: u32,
+    runtime_ps: u64, critical: bool, mesh: MeshStats,
+});
 
-fn w_fused(e: &mut Enc, f: &FusedEdge) {
-    e.usize(f.producer);
-    e.usize(f.consumer);
-    e.usize(f.chunks);
-    e.bool(f.streamed);
-    e.u64(f.streamed_ps);
-    e.u64(f.unfused_ps);
-}
+persist_struct!(WaveReport {
+    wave: usize, concurrent: bool, runtime_ps: u64, serial_runtime_ps: u64,
+    branches: Vec<BranchSchedule>, serdes: SerDesStats,
+});
 
-fn r_fused(d: &mut Dec) -> Option<FusedEdge> {
-    Some(FusedEdge {
-        producer: d.usize()?,
-        consumer: d.usize()?,
-        chunks: d.usize()?,
-        streamed: d.bool()?,
-        streamed_ps: d.u64()?,
-        unfused_ps: d.u64()?,
-    })
-}
+persist_struct!(FusedEdge {
+    producer: usize,
+    consumer: usize,
+    chunks: usize,
+    streamed: bool,
+    streamed_ps: u64,
+    unfused_ps: u64,
+});
 
-fn w_planned(e: &mut Enc, p: &PlanReport) {
-    e.usize(p.stage_predicted_ps.len());
-    for &t in &p.stage_predicted_ps {
-        e.u64(t);
-    }
-    e.u64(p.predicted_makespan_ps);
-    e.bool(p.planner_won);
-    e.usize(p.waves.len());
-    for w in &p.waves {
-        e.usize(w.wave);
-        e.usize(w.leases.len());
-        for l in &w.leases {
-            e.usize(l.branch);
-            e.u32(l.first_vault);
-            e.u32(l.vaults);
-        }
-    }
-    e.usize(p.edges.len());
-    for edge in &p.edges {
-        e.usize(edge.producer);
-        e.usize(edge.consumer);
-        e.usize(edge.chunks);
-    }
-}
+persist_struct!(PlannedLease { branch: usize, first_vault: u32, vaults: u32 });
 
-fn r_planned(d: &mut Dec) -> Option<PlanReport> {
-    let n = d.len(8)?;
-    let mut stage_predicted_ps = Vec::with_capacity(n);
-    for _ in 0..n {
-        stage_predicted_ps.push(d.u64()?);
-    }
-    let predicted_makespan_ps = d.u64()?;
-    let planner_won = d.bool()?;
-    let n = d.len(1)?;
-    let mut waves = Vec::with_capacity(n);
-    for _ in 0..n {
-        let wave = d.usize()?;
-        let k = d.len(8)?;
-        let mut leases = Vec::with_capacity(k);
-        for _ in 0..k {
-            leases.push(PlannedLease {
-                branch: d.usize()?,
-                first_vault: d.u32()?,
-                vaults: d.u32()?,
-            });
-        }
-        waves.push(PlannedWaveReport { wave, leases });
-    }
-    let n = d.len(8)?;
-    let mut edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        edges.push(PlannedEdgeReport {
-            producer: d.usize()?,
-            consumer: d.usize()?,
-            chunks: d.usize()?,
-        });
-    }
-    Some(PlanReport { stage_predicted_ps, predicted_makespan_ps, planner_won, waves, edges })
-}
+persist_struct!(PlannedWaveReport { wave: usize, leases: Vec<PlannedLease> });
 
-fn w_schedule(e: &mut Enc, s: &ScheduleReport) {
-    w_concurrency(e, s.mode);
-    e.usize(s.waves.len());
-    for w in &s.waves {
-        w_wave(e, w);
-    }
-    e.usize(s.fused.len());
-    for f in &s.fused {
-        w_fused(e, f);
-    }
-    e.u64(s.makespan_ps);
-}
+persist_struct!(PlannedEdgeReport { producer: usize, consumer: usize, chunks: usize });
 
-fn r_schedule(d: &mut Dec) -> Option<ScheduleReport> {
-    let mode = r_concurrency(d)?;
-    let n = d.len(1)?;
-    let mut waves = Vec::with_capacity(n);
-    for _ in 0..n {
-        waves.push(r_wave(d)?);
-    }
-    let n = d.len(1)?;
-    let mut fused = Vec::with_capacity(n);
-    for _ in 0..n {
-        fused.push(r_fused(d)?);
-    }
-    Some(ScheduleReport { mode, waves, fused, makespan_ps: d.u64()? })
-}
+persist_struct!(PlanReport {
+    stage_predicted_ps: Vec<u64>, predicted_makespan_ps: u64, planner_won: bool,
+    waves: Vec<PlannedWaveReport>, edges: Vec<PlannedEdgeReport>,
+});
 
-/// Serializes a full-run [`PipelineReport`].
-pub(crate) fn encode_pipeline_report(r: &PipelineReport) -> Vec<u8> {
-    let mut e = Enc::new();
-    w_system(&mut e, r.system);
-    e.usize(r.source_rows);
-    e.usize(r.stages.len());
-    for s in &r.stages {
-        w_stage_outcome(&mut e, s);
-    }
-    w_schedule(&mut e, &r.schedule);
-    match &r.planned {
-        Some(p) => {
-            e.bool(true);
-            w_planned(&mut e, p);
-        }
-        None => e.bool(false),
-    }
-    w_tuples(&mut e, &r.output);
-    e.into_bytes()
-}
+persist_struct!(ScheduleReport {
+    mode: Concurrency, waves: Vec<WaveReport>, fused: Vec<FusedEdge>, makespan_ps: u64,
+});
 
-/// Deserializes a full-run [`PipelineReport`]; `None` on any corruption.
-pub(crate) fn decode_pipeline_report(buf: &[u8]) -> Option<PipelineReport> {
-    let mut d = Dec::new(buf);
-    let system = r_system(&mut d)?;
-    let source_rows = d.usize()?;
-    let n = d.len(1)?;
-    let mut stages = Vec::with_capacity(n);
-    for _ in 0..n {
-        stages.push(r_stage_outcome(&mut d)?);
-    }
-    let schedule = r_schedule(&mut d)?;
-    let planned = if d.bool()? { Some(r_planned(&mut d)?) } else { None };
-    let output = r_tuples(&mut d)?;
-    if !d.done() {
-        return None;
-    }
-    Some(PipelineReport { system, source_rows, stages, schedule, planned, output })
-}
+persist_struct!(PipelineReport {
+    system: SystemKind, source_rows: usize, stages: Vec<StageOutcome>,
+    schedule: ScheduleReport, planned: Option<PlanReport>, output: Vec<Tuple>,
+});
 
-/// Serializes a per-stage [`StageEntry`].
-pub(crate) fn encode_stage_entry(entry: &StageEntry) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.usize(entry.input_rows);
-    e.bool(entry.reference_ok);
-    w_report(&mut e, &entry.report);
-    w_tuples(&mut e, &entry.projected);
-    e.into_bytes()
-}
+persist_struct!(StageEntry {
+    input_rows: usize, reference_ok: bool, report: Report, projected: Arc<[Tuple]>,
+});
 
-/// Deserializes a per-stage [`StageEntry`]; `None` on any corruption.
-pub(crate) fn decode_stage_entry(buf: &[u8]) -> Option<StageEntry> {
-    let mut d = Dec::new(buf);
-    let input_rows = d.usize()?;
-    let reference_ok = d.bool()?;
-    let report = r_report(&mut d)?;
-    let projected: Arc<[Tuple]> = r_tuples(&mut d)?.into();
-    if !d.done() {
-        return None;
-    }
-    Some(StageEntry { input_rows, reference_ok, report, projected })
-}
-
-/// Serializes a reference-prefix relation.
-pub(crate) fn encode_rel(rel: &[Tuple]) -> Vec<u8> {
-    let mut e = Enc::new();
-    w_tuples(&mut e, rel);
-    e.into_bytes()
-}
-
-/// Deserializes a reference-prefix relation; `None` on any corruption.
-pub(crate) fn decode_rel(buf: &[u8]) -> Option<Arc<[Tuple]>> {
-    let mut d = Dec::new(buf);
-    let rel = r_tuples(&mut d)?;
-    if !d.done() {
-        return None;
-    }
-    Some(rel.into())
-}
+#[cfg(test)]
+mod tests;

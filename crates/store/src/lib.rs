@@ -215,21 +215,12 @@ impl Store {
 
     /// Loads a full-run report. Any corruption is a miss.
     pub fn load_run(&self, key: &str) -> Option<PipelineReport> {
-        match self.load("run", key.as_bytes()).and_then(|p| codec::decode_pipeline_report(&p)) {
-            Some(report) => {
-                self.run_hits.fetch_add(1, Ordering::Relaxed);
-                Some(report)
-            }
-            None => {
-                self.run_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load_counted("run", key.as_bytes(), &self.run_hits, &self.run_misses)
     }
 
     /// Persists a full-run report (atomic tempfile + rename; best-effort).
     pub fn save_run(&self, key: &str, report: &PipelineReport) {
-        self.save("run", key.as_bytes(), &codec::encode_pipeline_report(report));
+        self.save("run", key.as_bytes(), &codec::encode(report));
     }
 
     /// The file name an entry lives under: kind prefix + key hash. The
@@ -246,6 +237,20 @@ impl Store {
         self.bytes_read.fetch_add(payload.len() as u64, Ordering::Relaxed);
         self.touch(name);
         Some(payload)
+    }
+
+    /// Loads and decodes an entry, counting the probe as a hit or a miss.
+    fn load_counted<T: codec::Persist>(
+        &self,
+        kind: &str,
+        key: &[u8],
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+    ) -> Option<T> {
+        let value = self.load(kind, key).and_then(|payload| codec::decode(&payload));
+        let counter = if value.is_some() { hits } else { misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     fn save(&self, kind: &str, key: &[u8], payload: &[u8]) {
@@ -405,37 +410,19 @@ impl Drop for Store {
 
 impl ExecStore for Store {
     fn load_ref(&self, key: &[u8]) -> Option<std::sync::Arc<[Tuple]>> {
-        match self.load("ref", key).and_then(|p| codec::decode_rel(&p)) {
-            Some(rel) => {
-                self.ref_hits.fetch_add(1, Ordering::Relaxed);
-                Some(rel)
-            }
-            None => {
-                self.ref_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load_counted("ref", key, &self.ref_hits, &self.ref_misses)
     }
 
     fn save_ref(&self, key: &[u8], rel: &[Tuple]) {
-        self.save("ref", key, &codec::encode_rel(rel));
+        self.save("ref", key, &codec::encode_seq(rel));
     }
 
     fn load_stage(&self, key: &[u8]) -> Option<StageEntry> {
-        match self.load("stage", key).and_then(|p| codec::decode_stage_entry(&p)) {
-            Some(entry) => {
-                self.stage_hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.stage_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load_counted("stage", key, &self.stage_hits, &self.stage_misses)
     }
 
     fn save_stage(&self, key: &[u8], entry: &StageEntry) {
-        self.save("stage", key, &codec::encode_stage_entry(entry));
+        self.save("stage", key, &codec::encode(entry));
     }
 }
 
